@@ -293,20 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckshift",
         description="Exact analyses of one-sided Markov shifts and shift equivalences.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _HANDLERS:
-        p = sub.add_parser(verb)
-        p.add_argument("--input", required=True, help="input file (JSON)")
-        p.add_argument("--depth", type=int, default=DEPTH_DEFAULT)
-        p.add_argument("--max-period", type=int, default=MAX_PERIOD_DEFAULT,
-                       dest="max_period")
-        p.add_argument("--entry-bound", type=int, default=ENTRY_BOUND_DEFAULT,
-                       dest="entry_bound")
-        p.add_argument("--inner-dim", type=int, default=INNER_DIM_DEFAULT,
-                       dest="inner_dim")
-        p.add_argument("--boundary", default="auto",
-                       help='boundary family: "auto" or a JSON pattern list')
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("verb", choices=tuple(_HANDLERS))
+    parser.add_argument("--input", required=True, help="input file (JSON)")
+    parser.add_argument("--depth", type=int, default=DEPTH_DEFAULT)
+    parser.add_argument("--max-period", type=int, default=MAX_PERIOD_DEFAULT,
+                        dest="max_period")
+    parser.add_argument("--entry-bound", type=int, default=ENTRY_BOUND_DEFAULT,
+                        dest="entry_bound")
+    parser.add_argument("--inner-dim", type=int, default=INNER_DIM_DEFAULT,
+                        dest="inner_dim")
+    parser.add_argument("--boundary", default="auto",
+                        help='boundary family: "auto" or a JSON pattern list')
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

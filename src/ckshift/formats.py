@@ -124,10 +124,6 @@ def parse_model(graph_obj, boundary_spec="auto") -> MarkovModel:
     return validate_model(g, parse_boundary(g, boundary_spec))
 
 
-def pattern_to_json(p: BoundaryPattern) -> dict:
-    return {"finite": sorted(p.finite), "classes": sorted(p.classes)}
-
-
 # ---------------------------------------------------------------------------
 # Matrices and certificates
 

@@ -10,15 +10,16 @@ with finitely many coupling edges from the prefix into the tail.
 
 Vertices are 1-based integers.  ``A(i, j) = 1`` permits the transition
 ``i -> j``; a path is a vertex word whose consecutive pairs are edges.
-All predicates on infinite presentations are decided symbolically (class
-or tail analysis), never by unbounded scans.
+The predicates on block patterns (finite or infinite) and banded tails
+are decided symbolically (class or tail analysis), never by vertex scans;
+words are enumerated by one explicit-stack generator, ``walks``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnsupportedPresentationError, ValidationError
 
@@ -38,18 +39,32 @@ def _check_01_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Explicit 0/1 adjacency matrix on vertices 1..n."""
+    """Explicit 0/1 adjacency matrix on vertices 1..n.
+
+    ``succ[i - 1]`` and ``pred[i - 1]`` hold the successors and the
+    in-neighbours of vertex ``i`` in increasing order, compiled once at
+    construction; the public methods check the vertex, hot loops index
+    the tuples directly.
+    """
 
     rows: tuple[tuple[int, ...], ...]
+    succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _check_01_rows(self.rows, "rows")
         n = len(rows)
+        if n == 0:
+            raise ValidationError("rows must describe at least one vertex")
         for r, row in enumerate(rows):
             if len(row) != n:
                 raise ValidationError(
                     f"rows must be square: row {r+1} has length {len(row)}, expected {n}")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "succ", tuple(
+            tuple(j + 1 for j, bit in enumerate(row) if bit) for row in rows))
+        object.__setattr__(self, "pred", tuple(
+            tuple(i + 1 for i, bit in enumerate(col) if bit) for col in zip(*rows)))
 
     @property
     def size(self) -> int:
@@ -68,15 +83,15 @@ class FiniteGraph:
 
     def successors(self, i: int) -> tuple[int, ...]:
         self._check(i)
-        return tuple(j + 1 for j, bit in enumerate(self.rows[i - 1]) if bit)
+        return self.succ[i - 1]
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
         self._check(j)
-        return tuple(i + 1 for i in range(self.size) if self.rows[i][j - 1])
+        return self.pred[j - 1]
 
     def out_degree(self, i: int) -> int:
         self._check(i)
-        return sum(self.rows[i - 1])
+        return len(self.succ[i - 1])
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,8 @@ class BlockPatternGraph:
 
     class_sizes: tuple[Optional[int], ...]
     block: tuple[tuple[int, ...], ...]
+    _finite: Optional[FiniteGraph] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         sizes = tuple(self.class_sizes)
@@ -172,12 +189,19 @@ class BlockPatternGraph:
         return tuple(sorted(out))
 
     def materialize(self) -> FiniteGraph:
-        n = self.total_size()
-        if n is None:
-            raise UnsupportedPresentationError("cannot materialize an infinite block pattern")
-        return FiniteGraph(tuple(
-            tuple(1 if self.edge(i, j) else 0 for j in range(1, n + 1))
-            for i in range(1, n + 1)))
+        """The explicit matrix, built on the first call and kept: only word
+        enumeration needs it, the predicates work on the classes."""
+        if self._finite is None:
+            if self.total_size() is None:
+                raise UnsupportedPresentationError(
+                    "cannot materialize an infinite block pattern")
+            rows = []
+            for card, pattern in zip(self.class_sizes, self.block):
+                row = tuple(bit for bit, width in zip(pattern, self.class_sizes)
+                            for _ in range(width))
+                rows.extend([row] * card)
+            object.__setattr__(self, "_finite", FiniteGraph(tuple(rows)))
+        return self._finite
 
 
 @dataclass(frozen=True)
@@ -260,6 +284,15 @@ class BandedTailGraph:
 GraphSpec = Union[FiniteGraph, BlockPatternGraph, BandedTailGraph]
 
 
+def vertex_count(g: GraphSpec) -> Optional[int]:
+    """Number of vertices, or None for an infinite presentation."""
+    if isinstance(g, FiniteGraph):
+        return g.size
+    if isinstance(g, BlockPatternGraph):
+        return g.total_size()
+    return None
+
+
 def finite_form(g: GraphSpec) -> Optional[FiniteGraph]:
     """The graph as an explicit finite matrix, when it has one."""
     if isinstance(g, FiniteGraph):
@@ -270,18 +303,14 @@ def finite_form(g: GraphSpec) -> Optional[FiniteGraph]:
 
 
 def is_infinite(g: GraphSpec) -> bool:
-    return finite_form(g) is None
+    return vertex_count(g) is None
 
 
 def valid_vertex(g: GraphSpec, v) -> bool:
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         return False
-    if isinstance(g, FiniteGraph):
-        return v <= g.size
-    if isinstance(g, BlockPatternGraph):
-        total = g.total_size()
-        return total is None or v <= total
-    return True
+    n = vertex_count(g)
+    return n is None or v <= n
 
 
 # ---------------------------------------------------------------------------
@@ -318,38 +347,64 @@ class LoopRecord:
     has_outgoing_edge: bool
 
 
-def loop_is_admissible(g: GraphSpec, loop: Loop) -> bool:
-    return all(g.edge(a, b) for a, b in zip(loop.vertices, loop.vertices[1:]))
-
-
 def loop_has_outgoing_edge(g: GraphSpec, loop: Loop) -> bool:
     """An outgoing edge is an edge (i_k, j) with j != i_{k+1} (cyclically)."""
     word = loop.vertices
-    for k in range(loop.length):
-        follow = word[k + 1]
-        if isinstance(g, BlockPatternGraph):
-            deg = g.out_degree(word[k])
-            if deg is None or deg > 1:
-                return True
-            if g.successors(word[k]) != (follow,):
-                return True
-        else:
-            for j in g.successors(word[k]):
-                if j != follow:
-                    return True
-    return False
+    return any(g.out_degree(a) != 1 or g.successors(a) != (b,)
+               for a, b in zip(word, word[1:]))
 
 
 def _canonical_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(word[k:] + word[:k] for k in range(len(word)))
 
 
-def _is_primitive(word: tuple[int, ...]) -> bool:
+def is_primitive(word: Sequence) -> bool:
+    """True unless the word is a proper power u^k with k >= 2."""
     p = len(word)
-    for d in range(1, p):
-        if p % d == 0 and word == word[:d] * (p // d):
-            return False
-    return True
+    return not any(p % d == 0 and word[:d] * (p // d) == word
+                   for d in range(1, p // 2 + 1))
+
+
+_DONE = object()
+
+
+def walks(starts: Iterable, extend: Callable[[list], Iterable],
+          max_len: int) -> Iterator[list]:
+    """Depth-first, lexicographic walk enumeration with an explicit stack.
+
+    Yields every word of length 1..max_len that begins with a letter of
+    ``starts`` and continues, letter by letter, with the letters of
+    ``extend(word)``; a word comes before its extensions.  The yielded
+    list is the generator's working buffer, valid until the next step:
+    copy what you keep.
+    """
+    if max_len < 1:
+        return
+    word: list = []
+    stack = [iter(starts)]
+    while stack:
+        letter = next(stack[-1], _DONE)
+        if letter is _DONE:
+            stack.pop()
+            if stack:
+                word.pop()
+            continue
+        word.append(letter)
+        yield word
+        if len(word) < max_len:
+            stack.append(iter(extend(word)))
+        else:
+            word.pop()
+
+
+def primitive_closed_walks(g: FiniteGraph, max_len: int) -> Iterator[tuple[int, ...]]:
+    """Every primitive closed walk of length 1..max_len as its base word
+    (i_0, ..., i_{n-1}), with i_{n-1} -> i_0, in depth-first lexicographic
+    order.  Rotations are distinct walks and are all listed."""
+    succ, rows = g.succ, g.rows
+    for word in walks(g.vertices(), lambda w: succ[w[-1] - 1], max_len):
+        if rows[word[-1] - 1][word[0] - 1] and is_primitive(word):
+            yield tuple(word)
 
 
 def enumerate_loops(g: GraphSpec, max_len: int) -> list[LoopRecord]:
@@ -361,22 +416,7 @@ def enumerate_loops(g: GraphSpec, max_len: int) -> list[LoopRecord]:
         raise UnsupportedPresentationError("loop enumeration needs a finite graph")
     if max_len < 0:
         raise ValidationError("max_len must be nonnegative")
-    found: set[tuple[int, ...]] = set()
-
-    def extend(word: list[int]) -> None:
-        v = word[-1]
-        if len(word) <= max_len and fin.edge(v, word[0]):
-            base = tuple(word)
-            if _is_primitive(base):
-                found.add(_canonical_rotation(base))
-        if len(word) < max_len:
-            for j in fin.successors(v):
-                word.append(j)
-                extend(word)
-                word.pop()
-
-    for start in fin.vertices():
-        extend([start])
+    found = {_canonical_rotation(base) for base in primitive_closed_walks(fin, max_len)}
     records = []
     for base in sorted(found, key=lambda w: (len(w), w)):
         loop = Loop(base + (base[0],))
@@ -446,12 +486,9 @@ def condition_l(g: GraphSpec) -> ConditionLVerdict:
     lexicographically minimal exit-free loop.
     """
     if isinstance(g, FiniteGraph):
-        step = {i: g.successors(i)[0] for i in g.vertices() if g.out_degree(i) == 1}
+        step = {i: succ[0] for i, succ in enumerate(g.succ, start=1) if len(succ) == 1}
         cycles = _functional_cycles(step.keys(), step)
     elif isinstance(g, BlockPatternGraph):
-        fin = finite_form(g)
-        if fin is not None:
-            return condition_l(fin)
         # Only vertices of singleton classes can be revisited by a forced
         # walk, so cycles live in the class-level functional graph over
         # singleton out-degree-1 classes.
@@ -480,42 +517,43 @@ def condition_l(g: GraphSpec) -> ConditionLVerdict:
 
 def _reach_sets(fin: FiniteGraph) -> dict[int, set[int]]:
     """reach[i] = vertices reachable from i by a path of length >= 1."""
+    succ = fin.succ
     reach: dict[int, set[int]] = {}
     for i in fin.vertices():
         seen: set[int] = set()
-        stack = list(fin.successors(i))
+        stack = list(succ[i - 1])
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(fin.successors(v))
+            stack.extend(succ[v - 1])
         reach[i] = seen
     return reach
+
+
+def _class_digraph(g: Union[FiniteGraph, BlockPatternGraph]
+                   ) -> tuple[FiniteGraph, Callable[[int], int]]:
+    """The digraph that reachability is decided on, and the map from its
+    vertices to the first graph vertex each stands for.  Adjacency in a
+    block pattern depends only on the classes and no class is empty, so a
+    path joins two vertices iff one joins their classes: the class digraph
+    decides every block pattern, finite or infinite."""
+    if isinstance(g, FiniteGraph):
+        return g, lambda v: v
+    return FiniteGraph(g.block), g.class_start
 
 
 def irreducible_with_witness(g: GraphSpec) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff every ordered vertex pair (i, j) is joined by a path of
     length >= 1; otherwise the lexicographically first unjoined pair."""
-    if isinstance(g, FiniteGraph):
-        reach = _reach_sets(g)
-        for i in g.vertices():
-            for j in g.vertices():
+    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
+        h, first = _class_digraph(g)
+        reach = _reach_sets(h)
+        for i in h.vertices():
+            for j in h.vertices():
                 if j not in reach[i]:
-                    return False, (i, j)
-        return True, None
-    if isinstance(g, BlockPatternGraph):
-        fin = finite_form(g)
-        if fin is not None:
-            return irreducible_with_witness(fin)
-        # Adjacency between vertices depends only on their classes, so
-        # path existence is decided on the class digraph.
-        class_graph = FiniteGraph(g.block)
-        reach = _reach_sets(class_graph)
-        for ci in range(1, g.num_classes + 1):
-            for cj in range(1, g.num_classes + 1):
-                if cj not in reach[ci]:
-                    return False, (g.class_start(ci), g.class_start(cj))
+                    return False, (first(i), first(j))
         return True, None
     if isinstance(g, BandedTailGraph):
         # Tail edges strictly increase and nothing re-enters the prefix, so
@@ -539,23 +577,13 @@ def is_irreducible(g: GraphSpec) -> bool:
 def reaches_loop_with_witness(g: GraphSpec) -> tuple[bool, Optional[int]]:
     """True iff every vertex has a path to a vertex lying on some loop;
     otherwise the minimal vertex that reaches none."""
-    if isinstance(g, FiniteGraph):
-        reach = _reach_sets(g)
-        on_cycle = {i for i in g.vertices() if i in reach[i]}
-        for i in g.vertices():
+    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
+        h, first = _class_digraph(g)
+        reach = _reach_sets(h)
+        on_cycle = {i for i in h.vertices() if i in reach[i]}
+        for i in h.vertices():
             if i not in on_cycle and not (reach[i] & on_cycle):
-                return False, i
-        return True, None
-    if isinstance(g, BlockPatternGraph):
-        fin = finite_form(g)
-        if fin is not None:
-            return reaches_loop_with_witness(fin)
-        class_graph = FiniteGraph(g.block)
-        reach = _reach_sets(class_graph)
-        on_cycle = {c for c in range(1, g.num_classes + 1) if c in reach[c]}
-        for c in range(1, g.num_classes + 1):
-            if c not in on_cycle and not (reach[c] & on_cycle):
-                return False, g.class_start(c)
+                return False, first(i)
         return True, None
     if isinstance(g, BandedTailGraph):
         # Loops live in the prefix; tail vertices only move further out.

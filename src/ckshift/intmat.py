@@ -81,10 +81,6 @@ def scalar_mul(k: int, a: Matrix) -> Matrix:
     return tuple(tuple(k * x for x in row) for row in a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def mat_pow(a: Matrix, k: int) -> Matrix:
     if not is_square(a):
         raise ValidationError("powers need a square matrix")
@@ -254,8 +250,11 @@ def smith_normal_form(m: Matrix) -> SmithForm:
     factors = tuple(a[i][i] for i in range(size))
     res = SmithForm(factors, tuple(map(tuple, u)), tuple(map(tuple, v)),
                     tuple(map(tuple, a)))
-    assert mat_mul(mat_mul(res.U, m), res.V) == res.D
-    assert abs(det(res.U)) == 1 and abs(det(res.V)) == 1
+    if mat_mul(mat_mul(res.U, m), res.V) != res.D:
+        raise AssertionError("Smith form: U @ M @ V differs from D")
+    if abs(det(res.U)) != 1 or abs(det(res.V)) != 1:
+        raise AssertionError("Smith form: U or V is not unimodular")
     for x, y in zip(factors, factors[1:]):
-        assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
+        if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
+            raise AssertionError(f"Smith form: factor {x} does not divide {y}")
     return res

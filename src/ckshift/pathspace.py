@@ -12,13 +12,15 @@ essential-freeness violations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedPresentationError, ValidationError
 from .graphs import (BandedTailGraph, BlockPatternGraph, FiniteGraph,
-                     GraphSpec, Loop, finite_form, loop_has_outgoing_edge,
-                     valid_vertex)
+                     GraphSpec, Loop, finite_form, is_infinite,
+                     loop_has_outgoing_edge, primitive_closed_walks,
+                     valid_vertex, vertex_count, walks)
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +59,12 @@ def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
     """Canonical pattern: finite classes are expanded into explicit
     vertices, so structural equality is extensional equality."""
     fin = set()
+    n = vertex_count(g)
     for v in finite:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValidationError(f"pattern vertices are positive integers, got {v!r}")
-        ff = finite_form(g)
-        if ff is not None and v > ff.size:
-            raise ValidationError(f"pattern vertex {v} exceeds graph size {ff.size}")
+        if n is not None and v > n:
+            raise ValidationError(f"pattern vertex {v} exceeds graph size {n}")
         fin.add(v)
     cls = set()
     for c in classes:
@@ -81,9 +83,9 @@ def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
 
 def full_pattern(g: GraphSpec) -> BoundaryPattern:
     """The pattern denoting the whole vertex set, where representable."""
-    ff = finite_form(g)
-    if ff is not None:
-        return make_pattern(g, finite=ff.vertices())
+    n = vertex_count(g)
+    if n is not None:
+        return make_pattern(g, finite=range(1, n + 1))
     if isinstance(g, BlockPatternGraph):
         return make_pattern(g, classes=range(1, g.num_classes + 1))
     raise UnsupportedPresentationError(
@@ -101,7 +103,7 @@ def cluster_patterns(g: GraphSpec) -> frozenset[BoundaryPattern]:
     column is a finite set marching off to infinity and only finitely many
     columns meet any window, so the empty pattern is the only cluster point.
     """
-    if finite_form(g) is not None:
+    if isinstance(g, FiniteGraph):
         return frozenset()
     if isinstance(g, BlockPatternGraph):
         out = set()
@@ -265,28 +267,23 @@ def admissible_words(g: GraphSpec, length: int,
         return
     fin = finite_form(g)
     if fin is not None:
-        starts: Sequence[int] = list(fin.vertices())
+        starts: Sequence[int] = fin.vertices()
+        succ = fin.succ
+
+        def extend(word: list[int]) -> Iterable[int]:
+            return succ[word[-1] - 1]
     else:
         if window is None:
             raise UnsupportedPresentationError(
                 "enumerating words of an infinite graph needs a window bound")
         starts = range(1, window + 1)
 
-    def extend(word: list[int]) -> Iterator[tuple[int, ...]]:
+        def extend(word: list[int]) -> Iterable[int]:
+            return [j for j in starts if g.edge(word[-1], j)]
+
+    for word in walks(starts, extend, length):
         if len(word) == length:
             yield tuple(word)
-            return
-        if fin is not None:
-            nxt: Iterable[int] = fin.successors(word[-1])
-        else:
-            nxt = (j for j in range(1, window + 1) if g.edge(word[-1], j))
-        for j in nxt:
-            word.append(j)
-            yield from extend(word)
-            word.pop()
-
-    for s in starts:
-        yield from extend([s])
 
 
 @dataclass(frozen=True)
@@ -304,13 +301,13 @@ def spectrum_level(model: MarkovModel, n: int,
     if n < 0:
         raise ValidationError("level must be nonnegative")
     g = model.graph
-    infinite = finite_form(g) is None
+    infinite = is_infinite(g)
     if infinite and window is None:
         raise UnsupportedPresentationError(
             "spectrum of an infinite graph needs a window bound")
     pts: list[SpectrumPoint] = [full_point(w) for w in admissible_words(g, n + 1, window)]
     fam = model.boundary_sorted()
-    for r in range(n, 0, -1):
+    for r in range(n, 0, -1) if fam else ():
         layer = []
         for w in admissible_words(g, r, window):
             for pat in fam:
@@ -398,9 +395,6 @@ class PeriodicScan:
     max_period: int
     max_preperiod: int
 
-    def strictly_periodic(self) -> tuple[PeriodicPointRecord, ...]:
-        return tuple(r for r in self.records if r.preperiod == 0)
-
     def strict_count_dividing(self, k: int) -> int:
         """Number of strictly periodic points whose minimal period divides k."""
         if k < 1 or k > self.max_period:
@@ -423,30 +417,10 @@ def periodic_points(model: MarkovModel, max_period: int,
     if max_preperiod < 0:
         raise ValidationError("max_preperiod must be >= 0")
 
-    def primitive(word: tuple[int, ...]) -> bool:
-        p = len(word)
-        return not any(p % d == 0 and word == word[:d] * (p // d)
-                       for d in range(1, p))
-
-    # Primitive closed walks up to max_period; distinct base points are
-    # distinct points of the shift, so rotations are not merged.
-    loops: list[tuple[int, ...]] = []
-
-    def close_walks(word: list[int]) -> None:
-        v = word[-1]
-        if fin.edge(v, word[0]) and primitive(tuple(word)):
-            loops.append(tuple(word))
-        if len(word) < max_period:
-            for j in fin.successors(v):
-                word.append(j)
-                close_walks(word)
-                word.pop()
-
-    for start in fin.vertices():
-        close_walks([start])
-
     records = []
-    for base in loops:
+    # Distinct base points are distinct points of the shift, so rotations
+    # of a closed walk are separate records.
+    for base in primitive_closed_walks(fin, max_period):
         loop = Loop(base + (base[0],))
         isolated = not loop_has_outgoing_edge(fin, loop)
         records.append(PeriodicPointRecord(0, len(base), (), loop, isolated))
@@ -458,9 +432,7 @@ def periodic_points(model: MarkovModel, max_period: int,
             new: list[tuple[int, ...]] = []
             for pre in frontier:
                 target = pre[0] if pre else base[0]
-                for i in fin.vertices():
-                    if fin.edge(i, target):
-                        new.append((i,) + pre)
+                new.extend((i,) + pre for i in fin.pred[target - 1])
             for w in new:
                 if w[-1] != base[-1]:
                     records.append(
@@ -478,8 +450,7 @@ def strict_period_counts(g: GraphSpec, max_k: int) -> list[int]:
     fin = finite_form(g)
     if fin is None:
         raise UnsupportedPresentationError("periodic counts need a finite graph")
-    n = fin.size
-    succ = [fin.successors(i) for i in fin.vertices()]
+    n, succ = fin.size, fin.succ
     counts = [0] * (max_k + 1)
     for start in range(1, n + 1):
         vec = [0] * (n + 1)
@@ -527,47 +498,28 @@ def essential_freeness_scan(model: MarkovModel, m0: int, n0: int,
         raise ValidationError(f"depth {depth} is smaller than the shift power {n0}")
     d = n0 - m0
     full = depth + d
-    n = fin.size
-    succ = [fin.successors(i) for i in fin.vertices()]
+    n, succ, rows = fin.size, fin.succ, fin.rows
 
-    # ext[v][r] = number of admissible words of r further letters from v.
+    # ext[r][v] = number of admissible words of r further letters from v.
     ext = [[1] * (n + 1)]
     for _ in range(full):
         prev = ext[-1]
         ext.append([0] + [sum(prev[j] for j in succ[v - 1]) for v in range(1, n + 1)])
 
-    def extensions(word: tuple[int, ...], to_len: int) -> int:
-        return ext[to_len - len(word)][word[-1]]
-
     # Words of length `full` in which every checkable coordinate pair
     # agrees: positions >= n0 are forced to repeat the letter d earlier.
-    agreeing: list[tuple[int, ...]] = []
-
-    def grow(word: list[int]) -> None:
-        if len(word) == full:
-            agreeing.append(tuple(word))
-            return
+    def grow(word: list[int]) -> Iterable[int]:
         pos = len(word)
-        choices: Iterable[int]
-        if pos == 0:
-            choices = range(1, n + 1)
-        elif pos >= n0:
+        if pos >= n0:
             forced = word[pos - d]
-            choices = (forced,) if fin.edge(word[-1], forced) else ()
-        else:
-            choices = succ[word[-1] - 1]
-        for j in choices:
-            word.append(j)
-            grow(word)
-            word.pop()
+            return (forced,) if rows[word[-1] - 1][forced - 1] else ()
+        return succ[word[-1] - 1]
 
-    grow([])
-    prefix_hits: dict[tuple[int, ...], int] = {}
-    for w in agreeing:
-        for ln in range(1, depth + 1):
-            pre = w[:ln]
-            prefix_hits[pre] = prefix_hits.get(pre, 0) + 1
-    for pre in sorted(prefix_hits, key=lambda w: (len(w), w)):
-        if prefix_hits[pre] == extensions(pre, full):
-            return FreenessScanResult(True, pre)
+    agreeing = [tuple(w) for w in walks(fin.vertices(), grow, full) if len(w) == full]
+    # The walk order is lexicographic, so the agreeing words under one
+    # prefix are consecutive and prefixes of one length come in order.
+    for ln in range(1, depth + 1):
+        for pre, group in itertools.groupby(agreeing, key=lambda w: w[:ln]):
+            if sum(1 for _ in group) == ext[full - ln][pre[-1]]:
+                return FreenessScanResult(True, pre)
     return FreenessScanResult(False, None)

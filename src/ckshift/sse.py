@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
+from .graphs import walks
 from .intmat import (Matrix, as_matrix, charpoly, det, identity, is_nonneg,
                      is_square, mat_mul, mat_pow, mat_sub, mat_vec, shape,
                      smith_normal_form, trace)
@@ -221,8 +222,10 @@ def build_conjugacy(R: Matrix, S: Matrix, A: Matrix, B: Matrix) -> ConjugacyPair
                          for w in range(1, mids + 1)
                          for cf in range(1, first[i - 1][w - 1] + 1)
                          for cs in range(1, second[w - 1][j - 1] + 1)]
-                count = target[i - 1][j - 1]
-                assert len(paths) == count
+                if len(paths) != target[i - 1][j - 1]:
+                    raise AssertionError(
+                        f"({i},{j}): {len(paths)} two-edge paths for "
+                        f"{target[i - 1][j - 1]} edges")
                 for k, path in enumerate(paths, start=1):
                     table[(i, j, k)] = path
         return table
@@ -276,18 +279,9 @@ def edge_paths(M: Matrix, length: int) -> Iterable[tuple[Edge, ...]]:
     by_source: dict[int, list[Edge]] = {}
     for e in edges:
         by_source.setdefault(e[0], []).append(e)
-
-    def extend(word: list[Edge]):
+    for word in walks(edges, lambda w: by_source.get(w[-1][1], ()), length):
         if len(word) == length:
             yield tuple(word)
-            return
-        for e in by_source.get(word[-1][1], []):
-            word.append(e)
-            yield from extend(word)
-            word.pop()
-
-    for e in edges:
-        yield from extend([e])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -172,6 +173,51 @@ class TestRn:
         assert all(len(c) == 2 for c in rep["classes"])
 
 
+class TestDeepAndLarge:
+    """Inputs far beyond the interpreter's recursion depth and vertex
+    counts no matrix could hold."""
+
+    @pytest.fixture
+    def one_loop(self, tmp_path):
+        p = tmp_path / "one.json"
+        p.write_text('{"type":"finite","rows":[[1]]}')
+        return str(p)
+
+    def test_deep_spectrum(self, capsys, one_loop):
+        code, out, _ = run(capsys, "spectrum", "--input", one_loop, "--depth", "1500",
+                           "--format", "json")
+        rep = json.loads(out)
+        assert code == 0 and rep["count"] == 1
+        assert rep["points"] == [",".join(["1"] * 1501)]
+
+    def test_deep_periodic(self, capsys, one_loop):
+        code, out, _ = run(capsys, "periodic", "--input", one_loop,
+                           "--max-period", "2000", "--format", "json")
+        rep = json.loads(out)
+        assert code == 1
+        assert rep["records"] == [{"preperiod": 0, "period": 1, "loop": [1, 1],
+                                   "isolated": True}]
+        assert set(rep["strict_counts_dividing"].values()) == {1}
+
+    def test_deep_essential_freeness(self, capsys, one_loop):
+        code, out, _ = run(capsys, "essential-freeness", "--input", one_loop,
+                           "--depth", "1200", "--format", "json")
+        rep = json.loads(out)
+        assert code == 1
+        assert all(p["violation"] and p["witness_cylinder"] == [1] for p in rep["pairs"])
+
+    @pytest.mark.parametrize("verb", ["classify", "jset"])
+    def test_huge_block_class(self, capsys, tmp_path, verb):
+        p = tmp_path / "big.json"
+        p.write_text('{"type":"block","classes":[{"card":1000000000}],"block":[[1]]}')
+        start = time.perf_counter()
+        code, out, _ = run(capsys, verb, "--input", str(p), "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        if verb == "jset":
+            assert json.loads(out)["cluster_patterns"] == []
+
+
 class TestContract:
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -188,6 +234,17 @@ class TestContract:
         bad.write_text('{"type":"finite","rows":[[0,1]]}')
         code, out, err = run(capsys, "classify", "--input", str(bad))
         assert code == 2 and "square" in err
+
+    def test_empty_finite_graph_is_2(self, tmp_path, capsys):
+        p = tmp_path / "empty.json"
+        p.write_text('{"type":"finite","rows":[]}')
+        code, out, err = run(capsys, "classify", "--input", str(p))
+        assert code == 2 and out == "" and "at least one vertex" in err
+
+    def test_unknown_verb_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-verb", "--input", str(DATA / "full2.json")])
+        assert exc.value.code == 2
 
     def test_missing_file_is_2(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "/nonexistent.json")

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import ckshift as ck
 from ckshift.errors import UnsupportedPresentationError, ValidationError
-from ckshift.graphs import all_finite_graphs, loop_has_outgoing_edge
+from ckshift.graphs import (all_finite_graphs, is_infinite, is_primitive,
+                            loop_has_outgoing_edge, primitive_closed_walks, walks)
 
 
 def brute_condition_l(g, max_len):
@@ -184,6 +185,105 @@ class TestEnumerateLoops:
             ck.enumerate_loops(ray, 3)
 
 
+class TestWalks:
+    def test_preorder_is_lexicographic(self):
+        # a word comes right before its extensions, so the generator's
+        # order is plain tuple order over all admissible words
+        for g in all_finite_graphs(3, no_zero_rows_only=True):
+            got = [tuple(w) for w in walks(g.vertices(), lambda w: g.succ[w[-1] - 1], 4)]
+            want = sorted(w for n in range(1, 5)
+                          for w in itertools.product(g.vertices(), repeat=n)
+                          if all(g.rows[a - 1][b - 1] for a, b in zip(w, w[1:])))
+            assert got == want, g.rows
+
+    def test_yields_one_buffer_and_no_recursion(self):
+        depth = 20000  # far past the interpreter's recursion limit
+        seen = {id(w) for w in walks((1,), lambda w: (1,), depth)}
+        assert len(seen) == 1
+        assert sum(1 for _ in walks((1,), lambda w: (1,), depth)) == depth
+        assert list(walks((1,), lambda w: (1,), 0)) == []
+
+    def test_is_primitive_against_rotations(self):
+        # a word is a proper power iff it equals a nontrivial rotation of itself
+        for n in range(1, 9):
+            for w in itertools.product((1, 2), repeat=n):
+                power = any(w[k:] + w[:k] == w for k in range(1, n))
+                assert is_primitive(w) == (not power), w
+                assert is_primitive(list(w)) == (not power), w
+
+    def test_primitive_closed_walks_against_brute(self):
+        for g in all_finite_graphs(3):
+            want = [w for w in sorted(w for n in range(1, 5)
+                                      for w in itertools.product(g.vertices(), repeat=n))
+                    if all(g.rows[a - 1][b - 1] for a, b in zip(w, w[1:] + w[:1]))
+                    and not any(w[k:] + w[:k] == w for k in range(1, len(w)))]
+            assert list(primitive_closed_walks(g, 4)) == want, g.rows
+
+
+class TestCompiledAdjacency:
+    def test_against_rows(self):
+        for g in all_finite_graphs(3):
+            for v in g.vertices():
+                assert g.successors(v) == tuple(j for j in g.vertices() if g.rows[v - 1][j - 1])
+                assert g.in_neighbors(v) == tuple(i for i in g.vertices() if g.rows[i - 1][v - 1])
+                assert g.out_degree(v) == sum(g.rows[v - 1])
+
+    def test_not_part_of_equality(self):
+        g = ck.FiniteGraph(((0, 1), (1, 1)))
+        assert g == ck.FiniteGraph(((0, 1), (1, 1))) and hash(g) == hash(ck.FiniteGraph(g.rows))
+        assert repr(g) == "FiniteGraph(rows=((0, 1), (1, 1)))"
+
+    def test_block_materialized_once(self):
+        g = ck.BlockPatternGraph((2, 3), ((0, 1), (1, 1)))
+        fin = g.materialize()
+        assert g.materialize() is fin and ck.finite_form(g) is fin
+        assert g == ck.BlockPatternGraph((2, 3), ((0, 1), (1, 1)))
+
+    def test_materialize_against_edges(self):
+        for g in block_patterns(max_classes=2):
+            n = g.total_size()
+            assert g.materialize().rows == tuple(
+                tuple(int(g.edge(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1))
+
+
+def block_patterns(max_classes=3, max_card=3):
+    """Every finite block pattern with 1..max_classes classes of card 1..max_card."""
+    for k in range(1, max_classes + 1):
+        for sizes in itertools.product(range(1, max_card + 1), repeat=k):
+            for bits in itertools.product((0, 1), repeat=k * k):
+                yield ck.BlockPatternGraph(sizes, tuple(bits[r * k:(r + 1) * k]
+                                                        for r in range(k)))
+
+
+class TestBlockPatternsOnClasses:
+    def test_class_digraph_matches_materialized_exhaustive(self):
+        # materialize() is the reference: the vertex-level predicates on the
+        # explicit matrix, witnesses included
+        count = 0
+        for g in block_patterns():
+            fin = g.materialize()
+            assert ck.classify(g) == ck.classify(fin), (g.class_sizes, g.block)
+            assert not is_infinite(g)
+            assert ck.cluster_patterns(g) == frozenset()
+            assert ck.full_pattern(g) == ck.full_pattern(fin)
+            count += 1
+        assert count == 13974
+
+    def test_patterns_checked_against_vertex_count(self):
+        g = ck.BlockPatternGraph((2, 3), ((0, 1), (1, 1)))
+        assert ck.make_pattern(g, classes=(2,)) == ck.make_pattern(g, finite=(3, 4, 5))
+        with pytest.raises(ValidationError, match="exceeds graph size 5"):
+            ck.make_pattern(g, finite=(6,))
+
+    def test_huge_class_needs_no_matrix(self):
+        g = ck.BlockPatternGraph((10 ** 9, 2), ((1, 1), (0, 1)))
+        rep = ck.classify(g)
+        assert rep.condition_l.holds and not rep.irreducible
+        assert rep.irreducible_witness == (10 ** 9 + 1, 1)
+        assert ck.cluster_patterns(g) == frozenset()
+        assert g._finite is None
+
+
 class TestClassify:
     def test_golden_mean(self, golden_mean):
         rep = ck.classify(golden_mean)
@@ -247,6 +347,10 @@ class TestValidation:
     def test_banded_prefix_shape(self):
         with pytest.raises(ValidationError, match="prefix"):
             ck.BandedTailGraph(((0,),), 2, (1,), ((0,), (0,)))
+
+    def test_empty(self):
+        with pytest.raises(ValidationError, match="at least one vertex"):
+            ck.FiniteGraph(())
 
     def test_vertex_range(self, full2):
         with pytest.raises(ValidationError, match="outside"):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -113,6 +114,10 @@ class TestSpectrum:
                 assert set(ck.spectrum_level(model, n).points) == \
                     brute_spectrum(model, n)
 
+    def test_empty_family_lists_only_full_words(self, golden_model, golden_mean):
+        sl = ck.spectrum_level(golden_model, 5)
+        assert sl.points == tuple(full_point(w) for w in admissible_words(golden_mean, 6))
+
     def test_deterministic_order(self, toeplitz_model):
         a = [p.render() for p in ck.spectrum_level(toeplitz_model, 3).points]
         b = [p.render() for p in ck.spectrum_level(toeplitz_model, 3).points]
@@ -145,6 +150,55 @@ class TestSpectrum:
             ck.project_point(full_point((1, 2)), 3)  # wrong word length
         with pytest.raises(ValidationError):
             ck.project_point(full_point((1,)), 0)  # no level below 0
+
+
+def brute_words(g, length, vertices):
+    """Oracle: every vertex tuple of the length, filtered by the edges."""
+    return [w for w in itertools.product(vertices, repeat=length)
+            if all(g.edge(a, b) for a, b in zip(w, w[1:]))]
+
+
+class TestAdmissibleWords:
+    def test_finite_against_product_oracle(self):
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                for length in range(0, 5):
+                    assert list(admissible_words(g, length)) == \
+                        brute_words(g, length, g.vertices()), (g.rows, length)
+
+    def test_windowed_against_product_oracle(self, ray, all_ones_infinite):
+        g = ck.BlockPatternGraph((2, None), ((0, 1), (1, 1)))
+        for graph in (ray, all_ones_infinite, g):
+            for length in range(0, 4):
+                assert list(admissible_words(graph, length, window=4)) == \
+                    brute_words(graph, length, range(1, 5))
+
+    def test_finite_block_uses_its_matrix(self):
+        g = ck.BlockPatternGraph((1, 2), ((0, 1), (1, 1)))
+        assert list(admissible_words(g, 3)) == brute_words(g, 3, range(1, 4))
+
+
+class TestDeepOneVertexLoop:
+    """Word lengths far past the interpreter's recursion limit."""
+
+    DEPTH = sys.getrecursionlimit() + 500
+
+    @pytest.fixture
+    def loop_model(self):
+        return ck.dense_model(ck.FiniteGraph(((1,),)))
+
+    def test_spectrum(self, loop_model):
+        sl = ck.spectrum_level(loop_model, self.DEPTH)
+        assert sl.points == (full_point((1,) * (self.DEPTH + 1)),)
+
+    def test_periodic_points(self, loop_model):
+        scan = ck.periodic_points(loop_model, self.DEPTH, 0)
+        assert [(r.period, r.loop.vertices, r.isolated) for r in scan.records] == \
+            [(1, (1, 1), True)]
+
+    def test_essential_freeness(self, loop_model):
+        res = ck.essential_freeness_scan(loop_model, 0, 2, self.DEPTH)
+        assert res.violation_found and res.witness == (1,)
 
 
 class TestProjection:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import ckshift as ck
 from ckshift.errors import DomainError, ValidationError
-from ckshift.intmat import det, identity, mat_mul, mat_sub
+from ckshift.intmat import det, identity, mat_mul, mat_pow, mat_sub
 from ckshift.sse import (DimensionGroup, edge_paths, edge_set,
                          verify_strong_chain)
 
@@ -158,6 +159,16 @@ class TestConjugacy:
                 for p in edge_paths(pair.B, L):
                     assert tuple(ck.apply_phi(pair, ck.apply_psi(pair, p))) == \
                         p[1:L - 1]
+
+    def test_edge_paths_against_product_oracle(self):
+        M = ((1, 2), (1, 0))
+        edges = edge_set(M)
+        for L in range(0, 5):
+            want = [p for p in itertools.product(edges, repeat=L)
+                    if all(e[1] == f[0] for e, f in zip(p, p[1:]))]
+            assert list(edge_paths(M, L)) == want
+            if L:
+                assert len(want) == sum(map(sum, mat_pow(M, L)))
 
     def test_intertwining(self):
         # phi(shift p) = shift(phi p) where lengths permit
