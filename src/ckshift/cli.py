@@ -246,7 +246,13 @@ def _run_invariants(args):
 
 def _run_conjugacy(args):
     cert = formats.parse_certificate(_read_json(args.input))
-    (R, S) = cert.pairs[0]
+    if len(cert.pairs) != 1:
+        raise ValidationError(
+            f"conjugacy needs a one-step certificate; the chain has {len(cert.pairs)} steps")
+    if cert.lag not in (None, 1):
+        raise ValidationError(
+            f"conjugacy needs an elementary (lag-1) certificate, got lag {cert.lag}")
+    (R, S), = cert.pairs
     try:
         pair = sse.build_conjugacy(R, S, cert.A, cert.B)
     except ValidationError:

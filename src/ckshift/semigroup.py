@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .clopen import (ClopenSet, ck4_identity, empty_clopen, follower_set,
-                     full_space, members_at_level, prepend_word, strip_word)
+                     full_space, level0_table, members_at_level, prepend_word,
+                     strip_word)
 from .errors import DomainError, UnsupportedPresentationError, ValidationError
 from .graphs import finite_form, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, spectrum_level,
@@ -388,10 +389,11 @@ def verify_ck_relations(model: MarkovModel,
             raise UnsupportedPresentationError(
                 "infinite model: supply the E,F subsets for the product identity")
         ck4_pairs = [(E, F) for E in _subsets(vertices) for F in _subsets(vertices)]
+    table = level0_table(model) if fin is not None else None
     failures = []
     skipped = 0
     for E, F in ck4_pairs:
-        res = ck4_identity(model, E, F)
+        res = ck4_identity(model, E, F, table)
         if res.status == "not_finitely_supported":
             skipped += 1
         elif not res.holds:

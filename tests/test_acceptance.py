@@ -5,11 +5,15 @@ Every check is integer-exact (tolerance zero).  Run with
 and timings.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
 
 import ckshift as ck
+from ckshift.cli import main
 from ckshift.graphs import all_finite_graphs
 from ckshift.intmat import det, identity, mat_mul, mat_sub
 from ckshift.pathspace import strict_period_counts, truncated_point
@@ -277,3 +281,20 @@ def test_criterion_10_dimension_group():
     assert (res.status, res.power) == ("positive", 1)
     _report(10, "dimension-group identifications, tau automorphism on 100 "
                 "elements, golden-mean positivity at k=1", started)
+
+
+def test_criterion_11_ck_verify_scaling(tmp_path):
+    started = time.perf_counter()
+    graph = tmp_path / "ones7.json"
+    graph.write_text(json.dumps({"type": "finite", "rows": [[1] * 7] * 7}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["ck-verify", "--input", str(graph),
+                     "--boundary", '[{"finite":[1,2]}]', "--format", "json"])
+    assert code == 1
+    ck4 = json.loads(out.getvalue())["CK4"]
+    assert ck4["status"] == "fail" and ck4["checked"] == 4 ** 7
+    assert ck4["witness"]["point"] == "(∅;{1,2})"
+    assert time.perf_counter() - started < 5.0
+    _report(11, "ck-verify on the all-ones 7x7 graph with boundary {1,2}: "
+                "16384 (E,F) pairs, witness (∅;{1,2})", started)

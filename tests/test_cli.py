@@ -1,9 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import ckshift
 from ckshift.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -162,6 +166,34 @@ class TestSse:
         rep = json.loads(out)
         assert len(rep["alpha"]) == 2 and len(rep["beta"]) == 4
 
+    def test_conjugacy_one_step_chain(self, capsys, tmp_path):
+        cert = json.loads((DATA / "cert_elementary.json").read_text())
+        lag1 = run(capsys, "conjugacy", "--input", str(DATA / "cert_elementary.json"),
+                   "--format", "json")
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"A": cert["A"], "B": cert["B"],
+                                     "chain": [{"R": cert["R"], "S": cert["S"]}]}))
+        assert run(capsys, "conjugacy", "--input", str(chain), "--format", "json") == lag1
+
+    def test_conjugacy_rejects_longer_chain(self, capsys, tmp_path):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"A": [[1, 1], [1, 1]], "B": [[1, 1], [1, 1]],
+                                     "chain": [{"R": [[1], [1]], "S": [[1, 1]]},
+                                               {"R": [[1, 1]], "S": [[1], [1]]}]}))
+        code, _, _ = run(capsys, "sse-verify", "--input", str(chain), "--format", "json")
+        assert code == 0
+        code, out, err = run(capsys, "conjugacy", "--input", str(chain), "--format", "json")
+        assert code == 2 and out == ""
+        assert "one-step certificate" in err and "2 steps" in err
+
+    def test_conjugacy_rejects_lag(self, capsys, tmp_path):
+        cert = tmp_path / "lag2.json"
+        cert.write_text(json.dumps({"A": [[2]], "B": [[2]], "R": [[2]], "S": [[1]],
+                                    "lag": 2}))
+        code, out, err = run(capsys, "conjugacy", "--input", str(cert), "--format", "json")
+        assert code == 2 and out == ""
+        assert "lag-1" in err and "lag 2" in err
+
 
 class TestRn:
     def test_full_shift(self, capsys):
@@ -295,3 +327,17 @@ class TestContract:
                     return all(no_floats(v) for v in x)
                 return True
             assert no_floats(json.loads(out))
+
+    def test_optimized_interpreter_same_output(self):
+        # python -O strips assert statements; the invariant checks must not rely on them
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ckshift.__file__).parents[1]))
+        for argv, code in ((("ck-verify", "--input", str(DATA / "full2.json"),
+                             "--boundary", '[{"finite":[1,2]}]', "--format", "json"), 1),
+                           (("invariants", "--input", str(DATA / "mat3.json")), 0)):
+            normal, optimized = (
+                subprocess.run([sys.executable, *flags, "-m", "ckshift.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+                for flags in ((), ("-O",)))
+            assert normal.returncode == code and normal.stdout, argv
+            assert (optimized.returncode, optimized.stdout) == \
+                (normal.returncode, normal.stdout), argv

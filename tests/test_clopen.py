@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckshift as ck
-from ckshift.clopen import (make_clopen, members_at_level, prepend_word,
-                            strip_word)
+from ckshift.clopen import (level0_table, make_clopen, members_at_level,
+                            prepend_word, strip_word)
 from ckshift.errors import ValidationError
 from ckshift.graphs import all_finite_graphs
-from ckshift.pathspace import full_point, truncated_point
+from ckshift.pathspace import SpectrumPoint, full_point, truncated_point
 
 
 class TestBaseSets:
@@ -136,6 +136,111 @@ class TestWordSurgery:
         u2 = ck.vertex_cylinder(golden_model, 2)
         # 2 -> 2 is not admissible in the golden mean graph
         assert prepend_word((2,), u2).is_empty
+
+
+def ck4_oracle(model):
+    """CK4 on a finite model by the per-pair clopen computation: meet the
+    follower sets and their complements, join the cylinders over the
+    support, and take the least point of the symmetric difference.  The
+    base sets are built once per model; the Boolean algebra runs per pair."""
+    g = ck.finite_form(model.graph)
+    full = ck.full_space(model)
+    cylinder, follower = zip(*(ck.base_sets(model, i) for i in g.vertices()))
+
+    def decide(E, F):
+        support = frozenset(i for i in g.vertices()
+                            if all(g.edge(j, i) for j in E)
+                            and not any(g.edge(k, i) for k in F))
+        lhs = full
+        for j in sorted(E):
+            lhs = lhs.meet(follower[j - 1])
+        for k in sorted(F):
+            lhs = lhs.meet(follower[k - 1].complement())
+        rhs = ck.empty_clopen(model)
+        for i in sorted(support):
+            rhs = rhs.join(cylinder[i - 1])
+        if lhs == rhs:
+            return ck.Ck4Result("holds", support=support)
+        n = max(lhs.level, rhs.level)
+        diff = members_at_level(lhs, n) ^ members_at_level(rhs, n)
+        return ck.Ck4Result("fails", witness=min(diff, key=SpectrumPoint.sort_key),
+                            support=support)
+    return decide
+
+
+def vertex_subsets(n):
+    return [c for r in range(n + 1)
+            for c in itertools.combinations(range(1, n + 1), r)]
+
+
+def valid_models(g, families):
+    for family in families:
+        try:
+            yield ck.validate_model(g, [ck.make_pattern(g, finite=J) for J in family])
+        except ValidationError:
+            pass  # some vertex without an edge lies in no boundary set
+
+
+def assert_matches_oracle(model):
+    table = level0_table(model)
+    oracle = ck4_oracle(model)
+    subsets = vertex_subsets(model.graph.size)
+    for E in subsets:
+        for F in subsets:
+            expected = oracle(E, F)
+            assert ck.ck4_identity(model, E, F, table) == expected, \
+                (model.graph.rows, model.boundary_sorted(), E, F)
+
+
+class TestCk4Table:
+    """The level-0 table against the per-pair clopen computation."""
+
+    def test_every_small_graph_and_family(self):
+        checked = 0
+        for n in (1, 2):
+            patterns = vertex_subsets(n)
+            families = [fam for r in range(len(patterns) + 1)
+                        for fam in itertools.combinations(patterns, r)]
+            for g in all_finite_graphs(n):
+                for model in valid_models(g, families):
+                    assert_matches_oracle(model)
+                    checked += 1
+        assert checked == 232
+
+    def test_every_three_vertex_graph(self):
+        # one non-dense family per graph, cycling through four shapes
+        shapes = ([(1, 2, 3)], [(1,), (2, 3)], [(), (1, 2, 3)], [(2,), (1, 3)])
+        for k, g in enumerate(all_finite_graphs(3)):
+            (model,) = valid_models(g, [shapes[k % 4]])
+            assert_matches_oracle(model)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=16, max_size=16),
+           st.lists(st.frozensets(st.integers(1, 4)), min_size=0, max_size=3))
+    def test_four_vertex_graphs(self, bits, family):
+        g = ck.FiniteGraph(tuple(tuple(bits[4 * r:4 * r + 4]) for r in range(4)))
+        # the drawn family, or the drawn family and the whole vertex set
+        # when the drawn one leaves a vertex without a terminal path
+        model = next(valid_models(g, [family, family + [frozenset({1, 2, 3, 4})]]))
+        assert_matches_oracle(model)
+
+    def test_points_in_sort_order_and_masks(self, toeplitz_model):
+        table = level0_table(toeplitz_model)
+        (pat,) = toeplitz_model.boundary
+        assert table.points == (full_point((1,)), full_point((2,)),
+                                truncated_point((), pat))
+        assert table.full == 0b111
+        assert table.follower == (0b111, 0b111)
+        assert table.follower_complement == (0, 0)
+        assert table.cylinder == (0b001, 0b010)
+
+    def test_rejects_foreign_table_and_bad_vertex(self, full2_model, toeplitz_model):
+        with pytest.raises(ValidationError, match="different model"):
+            ck.ck4_identity(full2_model, (1,), (), level0_table(toeplitz_model))
+        with pytest.raises(ValidationError, match="outside"):
+            ck.ck4_identity(full2_model, (3,), ())
+        with pytest.raises(ValidationError, match="outside"):
+            ck.ck4_identity(full2_model, (), (0,))
 
 
 class TestCk4:

@@ -321,6 +321,34 @@ class TestVerifyCk:
         (pat,) = toeplitz_model.boundary
         assert rep.ck4_failures[0].witness == truncated_point((), pat)
 
+    def test_ck4_failures_are_the_pairs_inside_a_boundary_set(self):
+        # CK4 fails at (E, F) exactly when some J in the family has E inside
+        # J and F disjoint from J; the witness is (∅;J) for the first such J
+        cases = [(rows, fam) for rows in (((1, 1), (1, 1)), ((1, 1), (1, 0)),
+                                          ((0, 1), (0, 0)))
+                 for fam in ([(1, 2)], [(1,), (2,)], [(), (2,), (1, 2)])]
+        cases += [(((1, 1, 1),) * 3, fam)
+                  for fam in ([(1, 2, 3)], [(1,), (2, 3)], [(1, 2), (1, 3), (2, 3)])]
+        cases.append((((0, 1, 0), (0, 0, 1), (1, 0, 0)), [(), (1, 3)]))
+        for rows, fam in cases:
+            g = ck.FiniteGraph(rows)
+            model = ck.validate_model(g, [ck.make_pattern(g, finite=J) for J in fam])
+            verts = range(1, g.size + 1)
+            subsets = [c for r in range(g.size + 1)
+                       for c in itertools.combinations(verts, r)]
+            expected = {}
+            for E in subsets:
+                for F in subsets:
+                    hits = [J for J in model.boundary_sorted()
+                            if set(E) <= J.finite and not set(F) & J.finite]
+                    if hits:
+                        expected[E, F] = truncated_point((), hits[0])
+            rep = ck.verify_ck_relations(model)
+            assert rep.ck4_checked == len(subsets) ** 2
+            assert {(f.E, f.F): f.witness for f in rep.ck4_failures} == expected, \
+                (rows, fam)
+            assert len(rep.ck4_failures) == len(expected)
+
     def test_ray_windowed(self, ray):
         m = ck.dense_model(ray)
         pairs = [((i,), ()) for i in range(1, 5)]
