@@ -16,9 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import UnsupportedPresentationError, ValidationError
 from .graphs import BlockPatternGraph, finite_form, is_infinite
-from .pathspace import (MarkovModel, SpectrumPoint, fiber, full_point,
-                        point_valid_at, project_point, spectrum_level,
-                        truncated_point, word_admissible)
+from .pathspace import (BoundaryPattern, MarkovModel, SpectrumPoint, fiber,
+                        full_point, point_valid_at, project_point,
+                        spectrum_level, truncated_point, word_admissible)
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,12 @@ class Level0Table:
     and, per vertex, V_j, its complement and U_j.  All of them are level-0
     clopen sets, which canonicalization cannot lower, so their meets and
     joins are bitwise ands and ors, and the lowest bit of a symmetric
-    difference is its least point.  Build with :func:`level0_table`."""
+    difference is its least point.  ``boundary`` is the model's family in
+    ``sort_key`` order, for the letter analysis.  Build with
+    :func:`level0_table`."""
 
     model: MarkovModel
+    boundary: tuple[BoundaryPattern, ...]
     points: tuple[SpectrumPoint, ...]
     full: int
     follower: tuple[int, ...]
@@ -303,7 +306,7 @@ def level0_table(model: MarkovModel) -> Level0Table:
     fin = finite_form(model.graph)
     cylinders, followers = zip(*(base_sets(model, i) for i in fin.vertices()))
     return Level0Table(
-        model, points, mask(full),
+        model, tuple(model.boundary_sorted()), points, mask(full),
         follower=tuple(mask(v) for v in followers),
         follower_complement=tuple(mask(full.difference(v)) for v in followers),
         cylinder=tuple(mask(u) for u in cylinders),
@@ -349,23 +352,26 @@ def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int],
     empty-word boundary points (∅;J) with E inside J and F disjoint from J.
     A finite model is decided as sets on its level-0 table (``table``, when
     given, must be ``level0_table(model)``; passing it lets many pairs share
-    one), and the set computation is cross-checked against that letter
-    analysis.  An infinite model is decided by the letter analysis alone.
+    one table and one sorted family), and the set computation is
+    cross-checked against that letter analysis.  An infinite model is
+    decided by the letter analysis alone.
     """
     E, F = frozenset(E), frozenset(F)
     g = model.graph
-    finite = not is_infinite(g)
+    if table is None and not is_infinite(g):
+        table = level0_table(model)
+    finite = table is not None
     if finite:
-        if table is None:
-            table = level0_table(model)
-        elif table.model != model:
+        if table.model != model:
             raise ValidationError("the level-0 table belongs to a different model")
         support, witness = table.decide(E, F)
+        family = table.boundary
     else:
         support = _support(model, E, F)
         if support is None:
             return Ck4Result(CK4_NOT_FINITELY_SUPPORTED)
-    bad = [pat for pat in model.boundary_sorted()
+        family = model.boundary_sorted()
+    bad = [pat for pat in family
            if all(pat.contains(j, g) for j in E)
            and not any(pat.contains(k, g) for k in F)]
     expected = truncated_point((), bad[0]) if bad else None

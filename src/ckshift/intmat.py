@@ -1,14 +1,18 @@
 """Exact arbitrary-precision integer matrix arithmetic.
 
 Matrices are tuples of tuples of Python ints.  Everything here is exact:
-determinants are fraction-free, the characteristic polynomial uses the
-trace recurrence whose divisions are integral, and the Smith normal form
-returns unimodular transforms with U @ M @ V equal to the diagonal.
+determinants are fraction-free, the power sums tr A^k come from half the
+matrix powers and the recurrence of the characteristic polynomial, whose
+coefficients follow from them by Newton's identities with integral
+divisions, and the Smith normal form returns unimodular transforms with
+U @ M @ V equal to the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
@@ -52,17 +56,13 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return tuple(tuple(0 for _ in range(c)) for _ in range(r))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValidationError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -134,22 +134,60 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def power_sums(a: Matrix, m: int) -> list[int]:
+    """[0, tr A, tr A^2, ..., tr A^m] ([] when m < 0).
+
+    Only A^1..A^h with h = ceil(min(m, n)/2) are formed: tr A^(h+j) is the
+    Frobenius product of A^h with the transpose of A^j, the sum over r of
+    <row r of A^h, column r of A^j>.  Past the size n, the sums follow the
+    recurrence p_k = -(c_1 p_(k-1) + ... + c_n p_(k-n)) of the
+    characteristic polynomial x^n + c_1 x^(n-1) + ... + c_n."""
+    if not is_square(a):
+        raise ValidationError("power sums need a square matrix")
+    n = len(a)
+    top = min(m, n)
+    out = [0] * (m + 1)
+    if top < 1:
+        return out
+    half = (top + 1) // 2
+    powers = [a]
+    for _ in range(1, half):
+        powers.append(mat_mul(powers[-1], a))
+    for k, p in enumerate(powers, 1):
+        out[k] = trace(p)
+    rows = tuple(chain.from_iterable(powers[-1]))
+    for k in range(half + 1, top + 1):
+        cols = chain.from_iterable(zip(*powers[k - half - 1]))
+        out[k] = sum(map(mul, rows, cols))
+    if m > n:
+        c = _newton(out, n)[1:]
+        for k in range(n + 1, m + 1):
+            out[k] = -sum(map(mul, c, out[k - 1:k - n - 1:-1]))
+    return out
+
+
+def _newton(p: Sequence[int], n: int) -> list[int]:
+    """[1, c_1, ..., c_n] of x^n + c_1 x^(n-1) + ... + c_n from the power
+    sums p_1..p_n of its roots, by Newton's identities
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); for an integer
+    matrix every division is exact."""
+    c = [1]
+    for k in range(1, n + 1):
+        s = -sum(map(mul, c, p[k:0:-1]))
+        if s % k:
+            raise AssertionError(f"Newton's identities: {s} is not divisible by {k}")
+        c.append(s // k)
+    return c
+
+
 def charpoly(a: Matrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - A), coefficients in
-    descending degree.  Trace recurrence; every division is exact."""
+    descending degree, from the power sums tr A^k (k <= n) by Newton's
+    identities; every division is exact."""
     if not is_square(a):
         raise ValidationError("characteristic polynomial needs a square matrix")
     n = len(a)
-    coeffs = [1]
-    m = zeros(n, n)
-    for k in range(1, n + 1):
-        m = mat_mul(a, mat_add(m, scalar_mul(coeffs[-1], identity(n)))) if k > 1 \
-            else a
-        ck = -trace(m)
-        if ck % k:
-            raise AssertionError("trace recurrence division must be exact")
-        coeffs.append(ck // k)
-    return tuple(coeffs)
+    return tuple(_newton(power_sums(a, n), n))
 
 
 def poly_eval(coeffs: Sequence[int], x: int) -> int:

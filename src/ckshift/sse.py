@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import DomainError, ValidationError
 from .graphs import walks
 from .intmat import (Matrix, as_matrix, charpoly, det, identity, is_nonneg,
-                     is_square, mat_mul, mat_pow, mat_sub, mat_vec, shape,
-                     smith_normal_form, trace)
+                     is_square, mat_mul, mat_pow, mat_sub, mat_vec, power_sums,
+                     shape, smith_normal_form)
 
 
 def _check_nonneg(m: Matrix, name: str) -> None:
@@ -379,13 +379,8 @@ class DimensionGroup:
 
 
 def trace_powers(A: Matrix, k_max: int) -> list[int]:
-    """[_, tr A, tr A^2, ..., tr A^k] by exact cumulative products."""
+    """[_, tr A, tr A^2, ..., tr A^k]: the periodic-point counts of the
+    edge shift, by :func:`~ckshift.intmat.power_sums`."""
     if not is_square(A):
         raise ValidationError("trace powers need a square matrix")
-    out = [0] * (k_max + 1)
-    cur = A
-    for k in range(1, k_max + 1):
-        out[k] = trace(cur)
-        if k < k_max:
-            cur = mat_mul(cur, A)
-    return out
+    return power_sums(A, k_max)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ckshift
 from ckshift.cli import main
@@ -341,3 +345,103 @@ class TestContract:
             assert normal.returncode == code and normal.stdout, argv
             assert (optimized.returncode, optimized.stdout) == \
                 (normal.returncode, normal.stdout), argv
+
+
+# ---------------------------------------------------------------------------
+# Malformed and well-formed inputs for the four matrix verbs
+
+MATRIX_KINDS = ("square",) * 6 + ("negative", "non-square", "ragged", "bool", "float",
+                                  "nested", "empty", "empty-row", "not-a-list")
+
+
+@st.composite
+def fuzz_matrices(draw, max_dim=3):
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    if kind == "empty":
+        return []
+    if kind == "empty-row":
+        return [[]]
+    if kind == "not-a-list":
+        return draw(st.sampled_from((3, "[[1]]", None, {"rows": [[1]]})))
+    n = draw(st.integers(1, max_dim))
+    lo = -2 if kind == "negative" else 0
+    rows = [[draw(st.integers(lo, 2)) for _ in range(n)] for _ in range(n)]
+    if kind == "non-square":
+        rows = rows[:-1] if n > 1 else rows + [[1]]
+    elif kind == "ragged":
+        rows[-1].append(1)
+    elif kind in ("bool", "float", "nested"):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = {"bool": True, "float": 1.0, "nested": [1]}[kind]
+    return rows
+
+
+@st.composite
+def fuzz_certificates(draw, max_dim=3):
+    if draw(st.booleans()):
+        # a consistent elementary pair A = RS, B = SR
+        n, p = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+        R = [[draw(st.integers(0, 2)) for _ in range(p)] for _ in range(n)]
+        S = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(p)]
+        A = [[sum(R[i][k] * S[k][j] for k in range(p)) for j in range(n)] for i in range(n)]
+        B = [[sum(S[i][k] * R[k][j] for k in range(n)) for j in range(p)] for i in range(p)]
+    else:
+        A, B, R, S = (draw(fuzz_matrices(max_dim)) for _ in range(4))
+    cert = {"A": A, "B": B}
+    shape = draw(st.sampled_from(("pair", "lag", "chain", "empty-chain", "one-sided",
+                                  "missing-S", "not-an-object")))
+    if shape == "not-an-object":
+        return draw(st.sampled_from(([A], "cert", 7)))
+    if shape == "pair":
+        cert.update(R=R, S=S)
+    elif shape == "lag":
+        cert.update(R=R, S=S, lag=draw(st.sampled_from((0, -1, True, 1, 2, 1.0, "1"))))
+    elif shape == "chain":
+        cert["chain"] = [{"R": R, "S": S}] * draw(st.integers(1, 2))
+    elif shape == "empty-chain":
+        cert["chain"] = draw(st.sampled_from(([], {}, "R")))
+    elif shape == "one-sided":
+        cert["chain"] = [draw(st.sampled_from(({"R": R}, {"S": S}, [R, S])))]
+    else:
+        cert["R"] = R
+    return cert
+
+
+@st.composite
+def fuzz_matrix_inputs(draw, verb):
+    args = ["--format", draw(st.sampled_from(("text", "json")))]
+    if verb == "sse-search":
+        bound, inner = (draw(st.sampled_from((-1, 0, 1, 1, 2, 2))) for _ in range(2))
+        args += ["--entry-bound", str(bound), "--inner-dim", str(inner)]
+        # at entry bound 2 a 3x3 A and 2x2 B could mean 3^12 candidate pairs
+        max_dim = 2 if bound == 2 else 3
+        obj = {"A": draw(fuzz_matrices(max_dim)), "B": draw(fuzz_matrices(max_dim))}
+        obj = draw(st.sampled_from((obj, obj, {"A": obj["A"]}, [obj["A"], obj["B"]])))
+    elif verb == "invariants":
+        A = draw(fuzz_matrices())
+        obj = draw(st.sampled_from(({"A": A}, A, {"type": "finite", "rows": A}, {})))
+    else:
+        obj = draw(fuzz_certificates())
+    return obj, args
+
+
+class TestMatrixVerbFuzz:
+    """Every input gets exit 0, 1 or 2 and a report or an error line;
+    no exception escapes ``main``."""
+
+    @pytest.mark.parametrize("verb", ("invariants", "sse-verify", "sse-search", "conjugacy"))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_no_traceback(self, verb, data, tmp_path_factory):
+        obj, args = data.draw(fuzz_matrix_inputs(verb))
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{verb}.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([verb, "--input", str(path), *args])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (obj, args, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (code == 2) == bool(err.getvalue()), (obj, args, err.getvalue())

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckshift as ck
+import ckshift.clopen as clopen
 from ckshift.clopen import (level0_table, make_clopen, members_at_level,
                             prepend_word, strip_word)
 from ckshift.errors import ValidationError
 from ckshift.graphs import all_finite_graphs
-from ckshift.pathspace import SpectrumPoint, full_point, truncated_point
+from ckshift.pathspace import (MarkovModel, SpectrumPoint, full_point,
+                               truncated_point)
 
 
 class TestBaseSets:
@@ -233,6 +235,20 @@ class TestCk4Table:
         assert table.follower == (0b111, 0b111)
         assert table.follower_complement == (0, 0)
         assert table.cylinder == (0b001, 0b010)
+        assert table.boundary == (pat,)
+
+    def test_pairs_reuse_the_tables_family(self, toeplitz_model, monkeypatch):
+        calls = []
+        sort, infinite = MarkovModel.boundary_sorted, clopen.is_infinite
+        monkeypatch.setattr(MarkovModel, "boundary_sorted",
+                            lambda model: calls.append("sorted") or sort(model))
+        monkeypatch.setattr(clopen, "is_infinite",
+                            lambda g: calls.append("infinite") or infinite(g))
+        table = level0_table(toeplitz_model)
+        calls.clear()
+        results = [ck.ck4_identity(toeplitz_model, E, F, table)
+                   for E in vertex_subsets(2) for F in vertex_subsets(2)]
+        assert calls == [] and len(results) == 16
 
     def test_rejects_foreign_table_and_bad_vertex(self, full2_model, toeplitz_model):
         with pytest.raises(ValidationError, match="different model"):

@@ -14,6 +14,21 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
                  for _ in range(rows))
 
 
+def charpoly_oracle(a):
+    """Faddeev-LeVerrier: M_1 = A, M_k = A (M_(k-1) + c_(k-1) I) and
+    c_k = -tr(M_k)/k, one matrix product per coefficient."""
+    n = len(a)
+    coeffs = [1]
+    m = a
+    for k in range(1, n + 1):
+        if k > 1:
+            m = im.mat_mul(a, im.mat_add(m, im.scalar_mul(coeffs[-1], im.identity(n))))
+        ck = -im.trace(m)
+        assert ck % k == 0
+        coeffs.append(ck // k)
+    return tuple(coeffs)
+
+
 class TestBasics:
     def test_as_matrix_validates(self):
         with pytest.raises(ValidationError, match="ragged"):
@@ -77,6 +92,33 @@ class TestCharpoly:
             lam = sympy.symbols("x")
             want = sympy.Poly(sympy.Matrix(a).charpoly(lam), lam).all_coeffs()
             assert list(im.charpoly(a)) == [int(c) for c in want]
+
+    def test_against_sympy_up_to_ten(self):
+        rng = random.Random(5)
+        lam = sympy.symbols("x")
+        for n in range(1, 11):
+            for _ in range(8):
+                a = random_matrix(rng, n, n, -3, 3)
+                want = sympy.Poly(sympy.Matrix(a).charpoly(lam), lam).all_coeffs()
+                assert list(im.charpoly(a)) == [int(c) for c in want], a
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_against_faddeev_leverrier(self, n, data):
+        a = tuple(tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
+                  for _ in range(n))
+        assert im.charpoly(a) == charpoly_oracle(a)
+
+    def test_inexact_division_raises(self):
+        # power sums 1, 0 give 2 c_2 = 1: no integer matrix has them
+        with pytest.raises(AssertionError, match="not divisible by 2"):
+            im._newton([0, 1, 0], 2)
+
+    def test_non_square(self):
+        with pytest.raises(ValidationError, match="characteristic polynomial needs"):
+            im.charpoly(((1, 2),))
+        with pytest.raises(ValidationError, match="power sums need"):
+            im.power_sums(((1, 2),), 3)
 
 
 class TestSmith:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ckshift as ck
 from ckshift.errors import DomainError, ValidationError
-from ckshift.intmat import det, identity, mat_mul, mat_pow, mat_sub
+from ckshift.intmat import det, identity, mat_mul, mat_pow, mat_sub, trace
 from ckshift.sse import (DimensionGroup, edge_paths, edge_set,
                          verify_strong_chain)
 
@@ -16,6 +16,17 @@ ALL1 = ((1, 1), (1, 1))
 R12 = ((1, 1),)
 S21 = ((1,), (1,))
 GOLDEN = ((1, 1), (1, 0))
+
+
+def trace_powers_oracle(A, k_max):
+    """[_, tr A, ..., tr A^k] by cumulative products A, A^2, ..., A^k."""
+    out = [0] * (k_max + 1)
+    cur = A
+    for k in range(1, k_max + 1):
+        out[k] = trace(cur)
+        if k < k_max:
+            cur = mat_mul(cur, A)
+    return out
 
 
 def random_pair(rng, nmax=4, entry=3):
@@ -240,6 +251,30 @@ class TestDimensionGroup:
             DimensionGroup(((1, 2),))
         with pytest.raises(ValidationError):
             DimensionGroup(((-1,),))
+
+
+class TestTracePowers:
+    def test_every_small_01_matrix(self):
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                A = tuple(bits[i * n:(i + 1) * n] for i in range(n))
+                for k in range(-1, 2 * n + 3):
+                    assert ck.trace_powers(A, k) == trace_powers_oracle(A, k), (A, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_integer_matrices(self, n, data):
+        A = tuple(tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
+                  for _ in range(n))
+        for k in range(-1, 2 * n + 3):
+            assert ck.trace_powers(A, k) == trace_powers_oracle(A, k), k
+
+    def test_edge_cases(self):
+        assert ck.trace_powers(GOLDEN, 0) == [0]
+        assert ck.trace_powers(GOLDEN, -1) == []
+        assert ck.trace_powers(GOLDEN, -5) == []
+        with pytest.raises(ValidationError, match="^trace powers need a square matrix$"):
+            ck.trace_powers(R12, 3)
 
 
 class TestTraceBridge:
