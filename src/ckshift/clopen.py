@@ -10,13 +10,12 @@ equality is structural equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import UnsupportedPresentationError, ValidationError
-from .graphs import BlockPatternGraph, finite_form, is_infinite
-from .pathspace import (BoundaryPattern, MarkovModel, SpectrumPoint, fiber,
+from .graphs import BlockPatternGraph, FiniteGraph, is_infinite
+from .pathspace import (MarkovModel, SpectrumPoint, fiber,
                         full_point, point_valid_at, project_point,
                         spectrum_level, truncated_point, word_admissible)
 
@@ -246,83 +245,24 @@ class Ck4Result:
         return self.status == CK4_HOLDS
 
 
-@dataclass(frozen=True)
-class Level0Table:
-    """The level-0 points of a finite model, indexed in ``sort_key`` order,
-    and the sets CK4 combines, as bitmasks over that index: the full space
-    and, per vertex, V_j, its complement and U_j.  All of them are level-0
-    clopen sets, which canonicalization cannot lower, so their meets and
-    joins are bitwise ands and ors, and the lowest bit of a symmetric
-    difference is its least point.  ``boundary`` is the model's family in
-    ``sort_key`` order, for the letter analysis.  Build with
-    :func:`level0_table`."""
-
-    model: MarkovModel
-    boundary: tuple[BoundaryPattern, ...]
-    points: tuple[SpectrumPoint, ...]
-    full: int
-    follower: tuple[int, ...]
-    follower_complement: tuple[int, ...]
-    cylinder: tuple[int, ...]
-    succ: tuple[tuple[int, ...], ...]
-
-    def decide(self, E: frozenset[int],
-               F: frozenset[int]) -> tuple[frozenset[int], Optional[SpectrumPoint]]:
-        """The support {i : A(j,i)=1 for j in E and A(k,i)=0 for k in F},
-        and the least point where  /\\_E V_j  /\\_F V_k^c  and the union of
-        the U_i over the support differ (None when the sets are equal)."""
-        n = len(self.succ)
-        for v in itertools.chain(E, F):
-            if not 1 <= v <= n:
-                raise ValidationError(f"vertex {v} outside 1..{n}")
-        lhs = self.full
-        support = set(range(1, n + 1))
-        for j in E:
-            lhs &= self.follower[j - 1]
-            support.intersection_update(self.succ[j - 1])
-        for k in F:
-            lhs &= self.follower_complement[k - 1]
-            support.difference_update(self.succ[k - 1])
-        rhs = 0
-        for i in support:
-            rhs |= self.cylinder[i - 1]
-        diff = lhs ^ rhs
-        witness = self.points[(diff & -diff).bit_length() - 1] if diff else None
-        return frozenset(support), witness
-
-
-def level0_table(model: MarkovModel) -> Level0Table:
-    """The CK4 base sets of a finite model, each built once through the
-    clopen constructors; raises for an infinite graph."""
-    full = full_space(model)
-    points = tuple(sorted(full.members, key=SpectrumPoint.sort_key))
-    bit = {p: 1 << k for k, p in enumerate(points)}
-
-    def mask(cl: ClopenSet) -> int:
-        if cl.level != 0:
-            raise AssertionError(f"a CK4 base set lies at level {cl.level}, not 0")
-        return sum(bit[p] for p in cl.members)
-
-    fin = finite_form(model.graph)
-    cylinders, followers = zip(*(base_sets(model, i) for i in fin.vertices()))
-    return Level0Table(
-        model, tuple(model.boundary_sorted()), points, mask(full),
-        follower=tuple(mask(v) for v in followers),
-        follower_complement=tuple(mask(full.difference(v)) for v in followers),
-        cylinder=tuple(mask(u) for u in cylinders),
-        succ=fin.succ)
-
-
 def _support(model: MarkovModel, E: frozenset[int], F: frozenset[int]) -> Optional[frozenset[int]]:
-    """{i : A(j,i)=1 for j in E and A(k,i)=0 for k in F} on an infinite
-    graph, or None if the set is infinite."""
+    """{i : A(j,i)=1 for j in E and A(k,i)=0 for k in F}, or None if the
+    set is infinite."""
     g = model.graph
+    if isinstance(g, FiniteGraph):
+        support = set(g.vertices())
+        for j in E:
+            support.intersection_update(g.successors(j))  # checks the vertex
+        for k in F:
+            support.difference_update(g.successors(k))
+        return frozenset(support)
     if isinstance(g, BlockPatternGraph):
+        sources = {g.class_of(j) for j in E}
+        blocked = {g.class_of(k) for k in F}
         verts: set[int] = set()
         for c in range(1, g.num_classes + 1):
-            ok = all(g.block[g.class_of(j) - 1][c - 1] for j in E) and \
-                not any(g.block[g.class_of(k) - 1][c - 1] for k in F)
-            if not ok:
+            if not all(g.block[s - 1][c - 1] for s in sources) or \
+                    any(g.block[b - 1][c - 1] for b in blocked):
                 continue
             card = g.class_sizes[c - 1]
             if card is None:
@@ -341,8 +281,7 @@ def _support(model: MarkovModel, E: frozenset[int], F: frozenset[int]) -> Option
                      if not any(g.edge(k, i) for k in F))
 
 
-def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int],
-                 table: Optional[Level0Table] = None) -> Ck4Result:
+def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int]) -> Ck4Result:
     """Compare the Boolean combination  /\\_E V_j  /\\_F V_k^c  with the
     union of the U_i over the support {i : A(E,F,i) = 1}.  When the support
     is infinite the identity's premise fails and nothing is imposed.
@@ -350,38 +289,18 @@ def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int],
     The letter parts always agree (a point with first letter i lies in the
     combination iff i is in the support), so failures are exactly the
     empty-word boundary points (∅;J) with E inside J and F disjoint from J.
-    A finite model is decided as sets on its level-0 table (``table``, when
-    given, must be ``level0_table(model)``; passing it lets many pairs share
-    one table and one sorted family), and the set computation is
-    cross-checked against that letter analysis.  An infinite model is
-    decided by the letter analysis alone.
+    Every presentation is decided by that letter analysis, and the witness
+    is (∅;J) for the first such J in ``sort_key`` order, the least point
+    where the two sets differ.  The tests compare it with the explicit
+    clopen computation.
     """
     E, F = frozenset(E), frozenset(F)
+    support = _support(model, E, F)
+    if support is None:
+        return Ck4Result(CK4_NOT_FINITELY_SUPPORTED)
     g = model.graph
-    if table is None and not is_infinite(g):
-        table = level0_table(model)
-    finite = table is not None
-    if finite:
-        if table.model != model:
-            raise ValidationError("the level-0 table belongs to a different model")
-        support, witness = table.decide(E, F)
-        family = table.boundary
-    else:
-        support = _support(model, E, F)
-        if support is None:
-            return Ck4Result(CK4_NOT_FINITELY_SUPPORTED)
-        family = model.boundary_sorted()
-    bad = [pat for pat in family
-           if all(pat.contains(j, g) for j in E)
-           and not any(pat.contains(k, g) for k in F)]
-    expected = truncated_point((), bad[0]) if bad else None
-    if not finite:
-        witness = expected
-    elif witness != expected:
-        raise AssertionError(
-            f"CK4 at E={sorted(E)}, F={sorted(F)}: the sets differ at "
-            f"{witness.render() if witness else 'no point'}, the letter analysis "
-            f"at {expected.render() if expected else 'no point'}")
-    if witness is None:
-        return Ck4Result(CK4_HOLDS, support=support)
-    return Ck4Result(CK4_FAILS, witness=witness, support=support)
+    for pat in model.boundary_sorted():
+        if all(pat.contains(j, g) for j in E) and \
+                not any(pat.contains(k, g) for k in F):
+            return Ck4Result(CK4_FAILS, witness=truncated_point((), pat), support=support)
+    return Ck4Result(CK4_HOLDS, support=support)

@@ -13,7 +13,7 @@ essential-freeness violations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedPresentationError, ValidationError
@@ -135,12 +135,15 @@ class MarkovModel:
     graph: GraphSpec
     boundary: frozenset[BoundaryPattern]
     dense_domain: bool
+    _sorted: tuple[BoundaryPattern, ...] = field(init=False, repr=False, compare=False)
 
-    def vertex_in_boundary(self, v: int) -> bool:
-        return any(p.contains(v, self.graph) for p in self.boundary)
+    def __post_init__(self):
+        object.__setattr__(self, "_sorted", tuple(
+            sorted(self.boundary, key=BoundaryPattern.sort_key)))
 
-    def boundary_sorted(self) -> list[BoundaryPattern]:
-        return sorted(self.boundary, key=BoundaryPattern.sort_key)
+    def boundary_sorted(self) -> tuple[BoundaryPattern, ...]:
+        """The family in ``sort_key`` order, sorted once at construction."""
+        return self._sorted
 
 
 def validate_model(g: GraphSpec, boundary: Iterable[BoundaryPattern]) -> MarkovModel:
@@ -235,14 +238,8 @@ def full_point(word: Sequence[int]) -> SpectrumPoint:
     return SpectrumPoint(tuple(word), None)
 
 
-def truncated_point(word: Sequence[int], pattern: BoundaryPattern,
-                    g: Optional[GraphSpec] = None) -> SpectrumPoint:
-    word = tuple(word)
-    if word and g is not None and not pattern.contains(word[-1], g):
-        raise ValidationError(
-            f"truncated word must end inside its boundary set: {word[-1]} "
-            f"not in {pattern.render()}")
-    return SpectrumPoint(word, pattern)
+def truncated_point(word: Sequence[int], pattern: BoundaryPattern) -> SpectrumPoint:
+    return SpectrumPoint(tuple(word), pattern)
 
 
 def point_valid_at(p: SpectrumPoint, level: int) -> bool:

@@ -18,9 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .clopen import (ClopenSet, ck4_identity, empty_clopen, follower_set,
-                     full_space, level0_table, members_at_level, prepend_word,
-                     strip_word)
+from .clopen import (CK4_NOT_FINITELY_SUPPORTED, ClopenSet, ck4_identity,
+                     empty_clopen, follower_set, full_space, members_at_level,
+                     prepend_word, strip_word)
 from .errors import DomainError, UnsupportedPresentationError, ValidationError
 from .graphs import finite_form, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, spectrum_level,
@@ -310,18 +310,6 @@ def _subsets(items: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _windowed_follower(model: MarkovModel, i: int,
-                       window: Sequence[int]) -> frozenset[SpectrumPoint]:
-    """The window-restricted member set of V_i, for graphs whose rows are
-    too large to materialize."""
-    g = model.graph
-    members = {SpectrumPoint((j,)) for j in window if g.edge(i, j)}
-    for pat in model.boundary_sorted():
-        if pat.contains(i, g):
-            members.add(SpectrumPoint((), pat))
-    return frozenset(members)
-
-
 def verify_ck_relations(model: MarkovModel,
                         vertices: Optional[Sequence[int]] = None,
                         ck4_pairs: Optional[Sequence[tuple[Sequence[int], Sequence[int]]]] = None,
@@ -330,9 +318,10 @@ def verify_ck_relations(model: MarkovModel,
     and Q_i = S_i^*S_i: the Q_i commute, the P_i are pairwise orthogonal,
     P_jQ_i = A(i,j)P_j, and the finite-support product identity.  Finite
     models are checked exhaustively (all vertex pairs; all E,F subsets);
-    infinite models need an explicit vertex window and E,F sample.  When
-    a follower set is not finitely enumerable the CK1-3 checks fall back
-    to window-restricted member sets."""
+    infinite models need an explicit vertex window and E,F sample.  When a
+    follower set is infinite, CK1-3 are decided on the window's letters.
+    Each (E,F) pair is decided by the letter analysis of
+    :func:`~ckshift.clopen.ck4_identity`."""
     g = model.graph
     fin = finite_form(g)
     if vertices is None:
@@ -341,60 +330,40 @@ def verify_ck_relations(model: MarkovModel,
                 "infinite model: supply the vertex window to check")
         vertices = list(fin.vertices())
     vertices = list(vertices)
-
+    pairs = list(itertools.combinations(vertices, 2))
     try:
         q = {i: projection_q(model, i) for i in vertices}
         p = {i: projection_p(model, i) for i in vertices}
-        windowed = None
     except UnsupportedPresentationError:
-        windowed = {i: _windowed_follower(model, i, vertices) for i in vertices}
-
-    ck1 = RelationCheck("CK1", True)
-    for i, j in itertools.combinations(vertices, 2):
-        if windowed is None:
-            ok = compose(q[i], q[j]) == compose(q[j], q[i])
-        else:
-            ok = (windowed[i] & windowed[j]) == (windowed[j] & windowed[i])
-        if not ok:
-            ck1 = RelationCheck("CK1", False, (i, j))
-            break
-
-    ck2 = RelationCheck("CK2", True)
-    for i, j in itertools.combinations(vertices, 2):
-        if windowed is None:
-            ok = compose(p[i], p[j]).is_zero
-        else:
-            ok = i != j  # cylinders at distinct letters never meet
-        if not ok:
-            ck2 = RelationCheck("CK2", False, (i, j))
-            break
-
-    ck3 = RelationCheck("CK3", True)
-    for i in vertices:
-        for j in vertices:
-            if windowed is None:
-                expected = p[j] if g.edge(i, j) else zero(model)
-                ok = compose(p[j], q[i]) == expected
-            else:
-                # U_j lies inside V_i exactly when A(i,j) = 1
-                ok = (SpectrumPoint((j,)) in windowed[i]) == g.edge(i, j)
-            if not ok:
-                ck3 = RelationCheck("CK3", False, (i, j))
-                break
-        if not ck3.passed:
-            break
+        # Some follower set is infinite, so CK1-3 are read off the window's
+        # letters: the V_i are sets, so they commute (CK1); U_j lies inside
+        # V_i exactly when A(i,j) = 1 (CK3); and cylinders at distinct
+        # letters never meet, so only a repeated window vertex breaks CK2.
+        for i in vertices:
+            if not valid_vertex(g, i):
+                raise ValidationError(f"unknown vertex {i}")
+        bad1 = bad3 = None
+        bad2 = next(((i, j) for i, j in pairs if i == j), None)
+    else:
+        bad1 = next(((i, j) for i, j in pairs
+                     if compose(q[i], q[j]) != compose(q[j], q[i])), None)
+        bad2 = next(((i, j) for i, j in pairs if not compose(p[i], p[j]).is_zero), None)
+        bad3 = next(((i, j) for i in vertices for j in vertices
+                     if compose(p[j], q[i]) != (p[j] if g.edge(i, j) else zero(model))),
+                    None)
+    ck1, ck2, ck3 = (RelationCheck(f"CK{k}", bad is None, bad)
+                     for k, bad in enumerate((bad1, bad2, bad3), start=1))
 
     if ck4_pairs is None:
         if fin is None:
             raise UnsupportedPresentationError(
                 "infinite model: supply the E,F subsets for the product identity")
         ck4_pairs = [(E, F) for E in _subsets(vertices) for F in _subsets(vertices)]
-    table = level0_table(model) if fin is not None else None
     failures = []
     skipped = 0
     for E, F in ck4_pairs:
-        res = ck4_identity(model, E, F, table)
-        if res.status == "not_finitely_supported":
+        res = ck4_identity(model, E, F)
+        if res.status == CK4_NOT_FINITELY_SUPPORTED:
             skipped += 1
         elif not res.holds:
             failures.append(Ck4Failure(tuple(sorted(E)), tuple(sorted(F)), res.witness))

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 import ckshift as ck
 import ckshift.clopen as clopen
-from ckshift.clopen import (level0_table, make_clopen, members_at_level,
-                            prepend_word, strip_word)
+from ckshift.clopen import (make_clopen, members_at_level, prepend_word,
+                            strip_word)
 from ckshift.errors import ValidationError
 from ckshift.graphs import all_finite_graphs
-from ckshift.pathspace import (MarkovModel, SpectrumPoint, full_point,
-                               truncated_point)
+from ckshift.pathspace import SpectrumPoint, full_point, truncated_point
 
 
 class TestBaseSets:
@@ -184,18 +183,17 @@ def valid_models(g, families):
 
 
 def assert_matches_oracle(model):
-    table = level0_table(model)
     oracle = ck4_oracle(model)
-    subsets = vertex_subsets(model.graph.size)
+    subsets = vertex_subsets(ck.finite_form(model.graph).size)
     for E in subsets:
         for F in subsets:
             expected = oracle(E, F)
-            assert ck.ck4_identity(model, E, F, table) == expected, \
-                (model.graph.rows, model.boundary_sorted(), E, F)
+            assert ck.ck4_identity(model, E, F) == expected, \
+                (model.graph, model.boundary_sorted(), E, F)
 
 
 class TestCk4Table:
-    """The level-0 table against the per-pair clopen computation."""
+    """The letter analysis against the per-pair clopen computation."""
 
     def test_every_small_graph_and_family(self):
         checked = 0
@@ -226,33 +224,41 @@ class TestCk4Table:
         model = next(valid_models(g, [family, family + [frozenset({1, 2, 3, 4})]]))
         assert_matches_oracle(model)
 
-    def test_points_in_sort_order_and_masks(self, toeplitz_model):
-        table = level0_table(toeplitz_model)
-        (pat,) = toeplitz_model.boundary
-        assert table.points == (full_point((1,)), full_point((2,)),
-                                truncated_point((), pat))
-        assert table.full == 0b111
-        assert table.follower == (0b111, 0b111)
-        assert table.follower_complement == (0, 0)
-        assert table.cylinder == (0b001, 0b010)
-        assert table.boundary == (pat,)
+    def test_finite_block_patterns_match_their_matrix(self):
+        # decided on the classes, against the materialized matrix and the oracle
+        for sizes in ((1,), (2,), (3,), (1, 2), (2, 1), (3, 1), (1, 1, 1)):
+            k = len(sizes)
+            # every block on one or two classes, one in seven on three
+            for bits in itertools.islice(itertools.product((0, 1), repeat=k * k),
+                                         0, None, 7 if k == 3 else 1):
+                block = tuple(bits[r * k:r * k + k] for r in range(k))
+                g = ck.BlockPatternGraph(sizes, block)
+                n = g.total_size()
+                for family in ([tuple(range(1, n + 1))], [(1,), tuple(range(2, n + 1))]):
+                    model, flat = (ck.validate_model(h, [ck.make_pattern(h, finite=J)
+                                                         for J in family])
+                                   for h in (g, g.materialize()))
+                    for E in vertex_subsets(n):
+                        for F in vertex_subsets(n):
+                            assert ck.ck4_identity(model, E, F) == \
+                                ck.ck4_identity(flat, E, F), (sizes, block, family, E, F)
+                    assert_matches_oracle(model)
 
-    def test_pairs_reuse_the_tables_family(self, toeplitz_model, monkeypatch):
+    def test_pairs_reuse_the_models_family(self, toeplitz_model, monkeypatch):
         calls = []
-        sort, infinite = MarkovModel.boundary_sorted, clopen.is_infinite
-        monkeypatch.setattr(MarkovModel, "boundary_sorted",
-                            lambda model: calls.append("sorted") or sort(model))
+        key, infinite = ck.BoundaryPattern.sort_key, clopen.is_infinite
+        monkeypatch.setattr(ck.BoundaryPattern, "sort_key",
+                            lambda pat: calls.append("sort_key") or key(pat))
         monkeypatch.setattr(clopen, "is_infinite",
                             lambda g: calls.append("infinite") or infinite(g))
-        table = level0_table(toeplitz_model)
+        model = ck.validate_model(toeplitz_model.graph, toeplitz_model.boundary)
         calls.clear()
-        results = [ck.ck4_identity(toeplitz_model, E, F, table)
+        results = [ck.ck4_identity(model, E, F)
                    for E in vertex_subsets(2) for F in vertex_subsets(2)]
         assert calls == [] and len(results) == 16
+        assert model.boundary_sorted() is model.boundary_sorted()
 
-    def test_rejects_foreign_table_and_bad_vertex(self, full2_model, toeplitz_model):
-        with pytest.raises(ValidationError, match="different model"):
-            ck.ck4_identity(full2_model, (1,), (), level0_table(toeplitz_model))
+    def test_rejects_bad_vertex(self, full2_model):
         with pytest.raises(ValidationError, match="outside"):
             ck.ck4_identity(full2_model, (3,), ())
         with pytest.raises(ValidationError, match="outside"):

@@ -355,6 +355,17 @@ class TestVerifyCk:
         rep = ck.verify_ck_relations(m, vertices=range(1, 5), ck4_pairs=pairs)
         assert rep.all_passed
 
+    def test_infinite_rows_decided_on_window_letters(self):
+        # vertex 1 has infinitely many successors, so CK1-3 read the window:
+        # only a repeated window vertex can fail, and it fails CK2
+        m = ck.dense_model(ck.BlockPatternGraph((1, None), ((1, 1), (1, 1))))
+        rep = ck.verify_ck_relations(m, vertices=[1, 2, 2], ck4_pairs=[])
+        assert rep.ck1.passed and rep.ck3.passed
+        assert not rep.ck2.passed and rep.ck2.witness == (2, 2)
+        assert ck.verify_ck_relations(m, vertices=[1, 2, 3], ck4_pairs=[]).all_passed
+        with pytest.raises(ValidationError, match="unknown vertex 0"):
+            ck.verify_ck_relations(m, vertices=[1, 0], ck4_pairs=[])
+
 
 class TestTailPartition:
     def test_full_shift(self, full2_model):

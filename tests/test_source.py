@@ -14,3 +14,24 @@ def test_no_bare_asserts():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_no_unused_imports():
+    # every name a module imports at top level is referenced in that module
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # re-exports the public names
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used]
+    assert offenders == []
