@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -137,8 +138,8 @@ def _run_ck_verify(args):
     for name, check in (("CK1", rep.ck1), ("CK2", rep.ck2), ("CK3", rep.ck3)):
         if not check.passed:
             report[name]["witness"] = list(check.witness)
-    if rep.ck4_failures:
-        f = rep.ck4_failures[0]
+    f = rep.ck4_first_failure
+    if f is not None:
         report["CK4"]["witness"] = {
             "E": list(f.E), "F": list(f.F),
             "point": f.witness.pretty() if f.witness else None,
@@ -322,14 +323,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.verb == "spectrum" and args.format == "text":
-        # spectrum dumps are line oriented: one point per line
-        for key in ("level", "count", "partial"):
-            print(f"{key}: {_scalar(report[key])}")
-        for line in report["points"]:
-            print(line)
-        return code
-    _emit(report, args.format, sys.stdout)
+    try:
+        if args.verb == "spectrum" and args.format == "text":
+            # spectrum dumps are line oriented: one point per line
+            for key in ("level", "count", "partial"):
+                print(f"{key}: {_scalar(report[key])}")
+            for line in report["points"]:
+                print(line)
+        else:
+            _emit(report, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

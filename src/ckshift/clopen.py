@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import UnsupportedPresentationError, ValidationError
-from .graphs import BlockPatternGraph, FiniteGraph, is_infinite
+from .graphs import BlockPatternGraph, FiniteGraph, is_infinite, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, fiber,
                         full_point, point_valid_at, project_point,
                         spectrum_level, truncated_point, word_admissible)
@@ -271,14 +271,13 @@ def _support(model: MarkovModel, E: frozenset[int], F: frozenset[int]) -> Option
             verts.update(range(start, start + card))
         return frozenset(verts)
     # banded tail: rows are finite, so a nonempty E forces a finite support
+    for v in (*E, *F):
+        if not valid_vertex(g, v):
+            raise ValidationError(f"unknown vertex {v}")
     if not E:
         return None  # complement constraints alone leave a cofinite set
-    candidates = None
-    for j in E:
-        succ = set(g.successors(j))
-        candidates = succ if candidates is None else candidates & succ
-    return frozenset(i for i in candidates
-                     if not any(g.edge(k, i) for k in F))
+    candidates = set.intersection(*(set(g.successors(j)) for j in E))
+    return frozenset(i for i in candidates if not any(g.edge(k, i) for k in F))
 
 
 def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int]) -> Ck4Result:

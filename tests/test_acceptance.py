@@ -41,8 +41,11 @@ def test_criterion_1_ck_suite():
     rep = ck.verify_ck_relations(toeplitz)
     assert rep.ck1.passed and rep.ck2.passed and rep.ck3.passed
     assert not rep.ck4_passed
-    assert all(f.witness == truncated_point((), full_set)
-               for f in rep.ck4_failures)
+    subsets = [(), (1,), (2,), (1, 2)]
+    results = [ck.ck4_identity(toeplitz, E, F) for E in subsets for F in subsets]
+    assert sum(not r.holds for r in results) == rep.ck4_failed
+    assert all(r.witness == truncated_point((), full_set)
+               for r in results if not r.holds)
     assert time.perf_counter() - started < 1.0
     _report(1, "CK1-4 exact on dense models; Toeplitz fails CK4 at (∅;I)", started)
 
@@ -298,3 +301,46 @@ def test_criterion_11_ck_verify_scaling(tmp_path):
     assert time.perf_counter() - started < 5.0
     _report(11, "ck-verify on the all-ones 7x7 graph with boundary {1,2}: "
                 "16384 (E,F) pairs, witness (∅;{1,2})", started)
+
+
+def _ck_verify_json(path, argv=()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["ck-verify", "--input", str(path), *argv, "--format", "json"])
+    return code, out.getvalue()
+
+
+def test_criterion_12_ck4_closed_form(tmp_path, monkeypatch):
+    started = time.perf_counter()
+    graph = tmp_path / "ones20.json"
+    graph.write_text(json.dumps({"type": "finite", "rows": [[1] * 20] * 20}))
+    code, out = _ck_verify_json(graph, ("--boundary", '[{"finite":[1,2]}]'))
+    assert code == 1
+    ck4 = json.loads(out)["CK4"]
+    assert (ck4["status"], ck4["checked"], ck4["not_finitely_supported"]) == \
+        ("fail", 4 ** 20, 0)
+    assert ck4["witness"] == {"E": [], "F": [], "point": "(∅;{1,2})"}
+    assert time.perf_counter() - started < 1.0
+
+    # the same JSON as the explicit loop over every (E,F) pair
+    def subsets(vs):
+        return [c for r in range(len(vs) + 1) for c in itertools.combinations(vs, r)]
+
+    def explicit(model):  # the call ck-verify makes on a finite model
+        vs = list(ck.finite_form(model.graph).vertices())
+        return verify(model, ck4_pairs=[(E, F) for E in subsets(vs) for F in subsets(vs)])
+
+    closed = []
+    for n in range(1, 7):
+        graph = tmp_path / f"ones{n}.json"
+        graph.write_text(json.dumps({"type": "finite", "rows": [[1] * n] * n}))
+        fams = ('[{"finite":[1]}]', f'[{{"finite":{list(range(1, n + 1))}}}, {{"finite":[]}}]',
+                "auto")
+        closed += [(graph, fam, _ck_verify_json(graph, ("--boundary", fam))) for fam in fams]
+    verify = ck.semigroup.verify_ck_relations
+    monkeypatch.setattr(ck.semigroup, "verify_ck_relations", explicit)
+    for graph, fam, result in closed:
+        assert _ck_verify_json(graph, ("--boundary", fam)) == result, (graph.name, fam)
+    _report(12, "ck-verify on the all-ones 20x20 graph with boundary {1,2}: "
+                "4^20 (E,F) pairs in closed form, witness (∅;{1,2}); "
+                "the explicit loop agrees for n = 1..6", started)

@@ -55,6 +55,25 @@ class TestSpectrum:
         assert rep["count"] == 15 and not rep["partial"]
         assert ";{1,2}" in rep["points"]
 
+    @pytest.mark.parametrize("verb, extra, lines", [
+        ("spectrum", ("--depth", "12"), 2),  # 8192 points overflow the pipe
+        ("ck-verify", (), 0),                # short output, still buffered
+    ])
+    def test_reader_leaving_early_is_quiet(self, verb, extra, lines):
+        # `ckshift ... | head`: the reader closes the pipe after a few lines;
+        # no traceback, and the verb's own exit code
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ckshift.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block buffered
+        proc = subprocess.Popen([sys.executable, "-m", "ckshift.cli", verb,
+                                 "--input", str(DATA / "full2.json"), *extra],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert head == [b"level: 12\n", b"count: 8192\n"][:lines]
+
 
 class TestCkVerify:
     def test_dense_passes(self, capsys):

@@ -305,6 +305,13 @@ class TestCk4:
         res = ck.ck4_identity(m, (3,), (4,))
         assert res.holds and res.support == frozenset({4})
 
+    @pytest.mark.parametrize("E, F", [((0,), ()), ((2, 3), (0,)), ((), (0,)),
+                                      ((1,), (0,))])
+    def test_ray_rejects_bad_vertex(self, ray, E, F):
+        # every vertex of E and F is checked before any row is read
+        with pytest.raises(ValidationError, match="unknown vertex 0"):
+            ck.ck4_identity(ck.dense_model(ray), E, F)
+
     def test_banded_with_prefix_support(self):
         g = ck.BandedTailGraph(((1,),), 1, (2,), ((1,),))
         m = ck.dense_model(g)

@@ -5,9 +5,12 @@ import pytest
 
 import ckshift as ck
 from ckshift.errors import DomainError, ValidationError
+from ckshift.graphs import all_finite_graphs
 from ckshift.pathspace import full_point, truncated_point
-from ckshift.semigroup import (Monomial, decision_level, min_evaluation_level,
-                               product, projection_p, projection_q)
+from ckshift.semigroup import (Ck4Failure, Monomial, decision_level,
+                               min_evaluation_level, product, projection_p,
+                               projection_q)
+from test_clopen import valid_models
 
 
 def random_word_monomial(model, rng, max_len=6, normalized=True):
@@ -309,17 +312,71 @@ class TestMakeMonomial:
             ck.make_monomial(golden_model, (1,), ck.full_space(full2_model), ())
 
 
+def subsets(items):
+    """Every subset of the list's positions, by size, in ``combinations`` order."""
+    return [c for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+def all_pairs(vertices):
+    return [(E, F) for E in subsets(vertices) for F in subsets(vertices)]
+
+
+def ck13_oracle(model, vertices):
+    """CK1-3 as monomial identities: the first failing pair of each."""
+    g = model.graph
+    q = {i: projection_q(model, i) for i in vertices}
+    p = {i: projection_p(model, i) for i in vertices}
+    pairs = list(itertools.combinations(vertices, 2))
+    return (next(((i, j) for i, j in pairs
+                  if ck.compose(q[i], q[j]) != ck.compose(q[j], q[i])), None),
+            next(((i, j) for i, j in pairs
+                  if not ck.compose(p[i], p[j]).is_zero), None),
+            next(((i, j) for i in vertices for j in vertices
+                  if ck.compose(p[j], q[i]) != (p[j] if g.edge(i, j) else ck.zero(model))),
+                 None))
+
+
+def assert_ck13_matches_oracle(model, vertices=None):
+    rep = ck.verify_ck_relations(model, vertices=vertices, ck4_pairs=[])
+    if vertices is None:
+        vertices = list(ck.finite_form(model.graph).vertices())
+    got = tuple(c.witness for c in (rep.ck1, rep.ck2, rep.ck3))
+    assert got == ck13_oracle(model, list(vertices)), (model, vertices)
+    assert [c.passed for c in (rep.ck1, rep.ck2, rep.ck3)] == [w is None for w in got]
+
+
+def assert_ck4_matches_pairs(model, vertices=None):
+    rep = ck.verify_ck_relations(model, vertices=vertices)
+    if vertices is None:
+        vertices = list(ck.finite_form(model.graph).vertices())
+    explicit = ck.verify_ck_relations(model, vertices=vertices,
+                                      ck4_pairs=all_pairs(list(vertices)))
+    assert rep == explicit, (model, vertices)
+    return rep
+
+
+def small_models():
+    """Every graph with at most two vertices under every valid family."""
+    for n in (1, 2):
+        patterns = subsets(range(1, n + 1))
+        families = [fam for r in range(len(patterns) + 1)
+                    for fam in itertools.combinations(patterns, r)]
+        for g in all_finite_graphs(n):
+            yield from valid_models(g, families)
+
+
 class TestVerifyCk:
     def test_golden_mean_all_pass(self, golden_model):
         rep = ck.verify_ck_relations(golden_model)
         assert rep.all_passed and rep.ck4_checked == 16
+        assert rep.ck4_failed == 0 and rep.ck4_first_failure is None
 
     def test_toeplitz_ck4_fails(self, toeplitz_model):
         rep = ck.verify_ck_relations(toeplitz_model)
         assert rep.ck1.passed and rep.ck2.passed and rep.ck3.passed
         assert not rep.ck4_passed
         (pat,) = toeplitz_model.boundary
-        assert rep.ck4_failures[0].witness == truncated_point((), pat)
+        assert rep.ck4_first_failure.witness == truncated_point((), pat)
 
     def test_ck4_failures_are_the_pairs_inside_a_boundary_set(self):
         # CK4 fails at (E, F) exactly when some J in the family has E inside
@@ -333,21 +390,20 @@ class TestVerifyCk:
         for rows, fam in cases:
             g = ck.FiniteGraph(rows)
             model = ck.validate_model(g, [ck.make_pattern(g, finite=J) for J in fam])
-            verts = range(1, g.size + 1)
-            subsets = [c for r in range(g.size + 1)
-                       for c in itertools.combinations(verts, r)]
+            pairs = all_pairs(list(g.vertices()))
             expected = {}
-            for E in subsets:
-                for F in subsets:
-                    hits = [J for J in model.boundary_sorted()
-                            if set(E) <= J.finite and not set(F) & J.finite]
-                    if hits:
-                        expected[E, F] = truncated_point((), hits[0])
+            for E, F in pairs:
+                hits = [J for J in model.boundary_sorted()
+                        if set(E) <= J.finite and not set(F) & J.finite]
+                if hits:
+                    expected[E, F] = truncated_point((), hits[0])
+            results = {(E, F): ck.ck4_identity(model, E, F) for E, F in pairs}
+            assert {pair: res.witness for pair, res in results.items()
+                    if not res.holds} == expected, (rows, fam)
             rep = ck.verify_ck_relations(model)
-            assert rep.ck4_checked == len(subsets) ** 2
-            assert {(f.E, f.F): f.witness for f in rep.ck4_failures} == expected, \
-                (rows, fam)
-            assert len(rep.ck4_failures) == len(expected)
+            assert rep.ck4_checked == len(pairs) and rep.ck4_not_finitely_supported == 0
+            assert rep.ck4_failed == len(expected)
+            assert rep.ck4_first_failure == Ck4Failure((), (), expected[(), ()])
 
     def test_ray_windowed(self, ray):
         m = ck.dense_model(ray)
@@ -365,6 +421,87 @@ class TestVerifyCk:
         assert ck.verify_ck_relations(m, vertices=[1, 2, 3], ck4_pairs=[]).all_passed
         with pytest.raises(ValidationError, match="unknown vertex 0"):
             ck.verify_ck_relations(m, vertices=[1, 0], ck4_pairs=[])
+
+    def test_explicit_pairs_count_and_first_failure(self):
+        # windowed infinite model: class 1 = {1, 2} feeds itself, the
+        # infinite class 2 feeds both; pairs are counted in the order given
+        g = ck.BlockPatternGraph((2, None), ((1, 0), (1, 1)))
+        J = ck.make_pattern(g, finite=(1,), classes=(2,))
+        m = ck.validate_model(g, [ck.make_pattern(g, classes=(2,)), J])
+        pairs = [((2,), (1,)), ((), (1,)), ((1,), (2,)), ((1,), ()), ((1, 2), ()),
+                 ((3,), ())]
+        rep = ck.verify_ck_relations(m, vertices=[1, 2], ck4_pairs=pairs)
+        assert [ck.ck4_identity(m, E, F).status for E, F in pairs] == \
+            ["holds", "not_finitely_supported", "fails", "fails", "holds",
+             "not_finitely_supported"]
+        assert (rep.ck4_checked, rep.ck4_failed, rep.ck4_not_finitely_supported) == (6, 2, 2)
+        assert rep.ck4_first_failure == Ck4Failure((1,), (2,), truncated_point((), J))
+
+
+class TestCkClosedForm:
+    """The closed-form report against the monomial CK1-3 and the explicit
+    per-pair CK4 loop."""
+
+    def test_ck13_every_small_graph_and_family(self):
+        models = list(small_models())
+        assert len(models) == 232
+        for model in models:
+            assert_ck13_matches_oracle(model)
+
+    def test_ck13_every_three_vertex_graph(self):
+        # two families per graph, cycling through the shapes; the second
+        # covers every vertex, so a graph with a zero row keeps at least one
+        shapes = ([(1, 2, 3)], [(1,), (2, 3)], [(), (1, 2, 3)], [(2,), (1, 3)], [])
+        for k, g in enumerate(all_finite_graphs(3)):
+            families = [shapes[k % 5], shapes[(k + 1) % 5] + [(1, 2, 3)]]
+            models = list(valid_models(g, families))
+            assert models, g
+            for model in models:
+                assert_ck13_matches_oracle(model)
+
+    def test_ck13_windows(self, ray):
+        golden = ck.dense_model(ck.FiniteGraph(((1, 1), (1, 0))))
+        full3 = ck.validate_model(ck.FiniteGraph(((1, 1, 1),) * 3),
+                                  [ck.make_pattern(ck.FiniteGraph(((1, 1, 1),) * 3),
+                                                   finite=(1, 3))])
+        banded = ck.dense_model(ck.BandedTailGraph(((1,),), 1, (2,), ((1,),)))
+        block = ck.BlockPatternGraph((2, None), ((1, 0), (1, 0)))  # finite rows
+        cases = [(golden, [2, 1, 1, 2]), (golden, [1, 2, 2, 1]), (full3, [3, 1, 3]),
+                 (full3, [2, 1, 1, 2]), (ck.dense_model(ray), [1, 2, 3, 4]),
+                 (ck.dense_model(ray), [4, 2, 2, 4, 1]), (banded, [1, 2, 3, 4, 5]),
+                 (banded, [3, 1, 1, 3]), (ck.dense_model(block), [1, 2, 3, 4]),
+                 (ck.dense_model(block), [2, 1, 1, 2, 3])]
+        for model, window in cases:
+            assert_ck13_matches_oracle(model, window)
+        rep = ck.verify_ck_relations(golden, vertices=[2, 1, 1, 2], ck4_pairs=[])
+        assert rep.ck2.witness == (2, 2)  # the first repeated pair, not vertex 1
+
+    def test_ck4_every_small_graph_and_family(self):
+        for model in small_models():
+            rep = assert_ck4_matches_pairs(model)
+            assert rep.ck4_not_finitely_supported == 0
+            assert (rep.ck4_first_failure is None) == (not model.boundary)
+
+    def test_ck4_random_models(self):
+        rng = random.Random(6)
+        power_set = subsets((1, 2, 3, 4))
+        full4 = ck.FiniteGraph(((1, 1, 1, 1),) * 4)
+        models = [ck.validate_model(full4, [ck.make_pattern(full4, finite=J)
+                                            for J in power_set])]
+        while len(models) < 24:
+            n = rng.choice((3, 4))
+            g = ck.FiniteGraph(tuple(tuple(rng.randint(0, 1) for _ in range(n))
+                                     for _ in range(n)))
+            family = rng.sample(subsets(range(1, n + 1)), rng.randint(0, 2 ** n))
+            models.extend(valid_models(g, [family]))
+        assert sum(() in [tuple(J.finite) for J in m.boundary] for m in models) > 1
+        for model in models:
+            assert_ck4_matches_pairs(model)
+        g = ck.FiniteGraph(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+        model = ck.validate_model(g, [ck.make_pattern(g, finite=J)
+                                      for J in ((), (1,), (1, 3), (2, 3))])
+        for window in ([2, 1, 1, 2], [3, 3, 3], [1], []):
+            assert_ck4_matches_pairs(model, window)
 
 
 class TestTailPartition:
