@@ -159,30 +159,30 @@ def cylinder(model: MarkovModel, word: Sequence[int]) -> ClopenSet:
     return make_clopen(model, len(word) - 1, [full_point(word)])
 
 
-def base_sets(model: MarkovModel, i: int) -> tuple[ClopenSet, ClopenSet]:
-    """(U_i, V_i): the cylinder of paths starting at ``i`` and its shift
-    image, the follower set {x : i.x admissible}."""
-    g = model.graph
+def vertex_cylinder(model: MarkovModel, i: int) -> ClopenSet:
+    """U_i: the cylinder of paths starting at ``i``."""
     u = cylinder(model, (i,))
     if u.is_empty:
+        raise ValidationError(f"unknown or unusable vertex {i}")
+    return u
+
+
+def follower_set(model: MarkovModel, i: int) -> ClopenSet:
+    """V_i: the shift image of U_i, the follower set {x : i.x admissible}."""
+    g = model.graph
+    if not valid_vertex(g, i):
         raise ValidationError(f"unknown or unusable vertex {i}")
     succ = g.successors(i)  # may raise for infinite rows
     members: list[SpectrumPoint] = [full_point((j,)) for j in succ]
     for pat in model.boundary_sorted():
         if pat.contains(i, g):
             members.append(truncated_point((), pat))
-    return u, make_clopen(model, 0, members)
+    return make_clopen(model, 0, members)
 
 
-def vertex_cylinder(model: MarkovModel, i: int) -> ClopenSet:
-    return base_sets(model, i)[0]
-
-
-def follower_set(model: MarkovModel, i: Optional[int]) -> ClopenSet:
-    """V_i, or the whole space when no last letter constrains the tail."""
-    if i is None:
-        return full_space(model)
-    return base_sets(model, i)[1]
+def base_sets(model: MarkovModel, i: int) -> tuple[ClopenSet, ClopenSet]:
+    """(U_i, V_i)."""
+    return vertex_cylinder(model, i), follower_set(model, i)
 
 
 # ---------------------------------------------------------------------------

@@ -586,7 +586,12 @@ def reaches_loop_with_witness(g: GraphSpec) -> tuple[bool, Optional[int]]:
                 return False, first(i)
         return True, None
     if isinstance(g, BandedTailGraph):
-        # Loops live in the prefix; tail vertices only move further out.
+        # Loops live in the prefix and no path comes back from the tail, so
+        # the prefix decides its own vertices; every tail vertex fails.
+        if g.cutoff:
+            ok, witness = reaches_loop_with_witness(FiniteGraph(g.prefix))
+            if not ok:
+                return False, witness
         return False, g.cutoff + 1
     raise ValidationError(f"unknown graph presentation {type(g).__name__}")
 

@@ -182,13 +182,17 @@ def validate_model(g: GraphSpec, boundary: Iterable[BoundaryPattern]) -> MarkovM
                         raise ValidationError(
                             f"vertex {v} has no outgoing edge and lies in no boundary set")
     elif isinstance(g, BandedTailGraph):
-        if not g.offsets:
-            raise ValidationError(
-                f"vertex {g.cutoff + 1} has no outgoing edge and lies in no boundary set")
         for i in range(1, g.cutoff + 1):
             if g.out_degree(i) == 0 and not covered(i):
                 raise ValidationError(
                     f"vertex {i} has no outgoing edge and lies in no boundary set")
+        if not g.offsets:
+            # patterns are finite, so some tail vertex lies outside them all
+            v = g.cutoff + 1
+            while covered(v):
+                v += 1
+            raise ValidationError(
+                f"vertex {v} has no outgoing edge and lies in no boundary set")
     else:
         raise ValidationError(f"unknown graph presentation {type(g).__name__}")
     return MarkovModel(g, fam, dense_domain=(fam == forced))

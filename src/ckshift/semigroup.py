@@ -129,11 +129,10 @@ def compose(a: Monomial, b: Monomial, normalized: bool = True) -> Monomial:
     return normalize(out) if normalized else out
 
 
-def product(model: MarkovModel, factors: Iterable[Monomial],
-            normalized: bool = True) -> Monomial:
+def product(model: MarkovModel, factors: Iterable[Monomial]) -> Monomial:
     out = identity(model)
     for f in factors:
-        out = compose(out, f, normalized=normalized)
+        out = compose(out, f)
     return out
 
 

@@ -23,8 +23,7 @@ def _check_nonneg(m: Matrix, name: str) -> None:
         raise ValidationError(f"{name} must be entrywise nonnegative")
 
 
-def verify_elementary(A: Matrix, R: Matrix, S: Matrix, B: Matrix) -> bool:
-    """A = RS and B = SR exactly, with R, S nonnegative."""
+def _check_pair(A: Matrix, B: Matrix, R: Matrix, S: Matrix) -> None:
     for m, name in ((A, "A"), (B, "B")):
         if not is_square(m):
             raise ValidationError(f"{name} must be square")
@@ -34,6 +33,11 @@ def verify_elementary(A: Matrix, R: Matrix, S: Matrix, B: Matrix) -> bool:
         raise ValidationError(
             f"shape mismatch: need R {n}x{p} and S {p}x{n}, "
             f"got {shape(R)} and {shape(S)}")
+
+
+def verify_elementary(A: Matrix, R: Matrix, S: Matrix, B: Matrix) -> bool:
+    """A = RS and B = SR exactly, with R, S nonnegative."""
+    _check_pair(A, B, R, S)
     return mat_mul(R, S) == A and mat_mul(S, R) == B
 
 
@@ -41,8 +45,6 @@ def verify_strong_chain(A: Matrix, B: Matrix,
                         pairs: Sequence[tuple[Matrix, Matrix]]) -> bool:
     """A chain of elementary equivalences A = A_0 ~ A_1 ~ ... ~ A_k = B;
     the intermediate matrices are determined by the certificate pairs."""
-    if not pairs:
-        return A == B
     cur = A
     for R, S in pairs:
         if not verify_elementary(cur, R, S, mat_mul(S, R)):
@@ -53,18 +55,13 @@ def verify_strong_chain(A: Matrix, B: Matrix,
 
 def verify_shift_equivalence(A: Matrix, B: Matrix, R: Matrix, S: Matrix,
                              k: int) -> bool:
-    """AR = RB, SA = BS, RS = A^k, SR = B^k, all exact."""
+    """AR = RB, SA = BS, RS = A^k, SR = B^k, all exact.  Lag 1 is the
+    elementary check, since then AR = RSR = RB and SA = SRS = BS."""
     if k < 1:
         raise ValidationError("the lag must be a positive integer")
-    for m, name in ((A, "A"), (B, "B")):
-        if not is_square(m):
-            raise ValidationError(f"{name} must be square")
-    _check_nonneg(R, "R"), _check_nonneg(S, "S")
-    n, p = len(A), len(B)
-    if shape(R) != (n, p) or shape(S) != (p, n):
-        raise ValidationError(
-            f"shape mismatch: need R {n}x{p} and S {p}x{n}, "
-            f"got {shape(R)} and {shape(S)}")
+    if k == 1:
+        return verify_elementary(A, R, S, B)
+    _check_pair(A, B, R, S)
     return (mat_mul(A, R) == mat_mul(R, B)
             and mat_mul(S, A) == mat_mul(B, S)
             and mat_mul(R, S) == mat_pow(A, k)
@@ -235,21 +232,22 @@ def build_conjugacy(R: Matrix, S: Matrix, A: Matrix, B: Matrix) -> ConjugacyPair
     return ConjugacyPair(A, B, R, S, alpha, beta)
 
 
+def _transport(M: Matrix, split: dict[Edge, tuple[Edge, Edge]],
+               join: dict[tuple[Edge, Edge], Edge],
+               path: Sequence[Edge]) -> list[Edge]:
+    """Split each edge into its two-edge path and rejoin adjacent halves."""
+    if len(path) < 2:
+        raise DomainError("the image consumes two edges per output edge")
+    validate_edge_path(M, path)
+    halves = [split[e] for e in path]
+    return [join[(first[1], nxt[0])] for first, nxt in zip(halves, halves[1:])]
+
+
 def apply_phi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
     """One step of the conjugacy: an A-path a_0...a_{L-1} maps to the
     B-path b_0...b_{L-2} where alpha(a_k) = r_k s_k and each b_k is the
     beta-preimage of s_k r_{k+1}."""
-    if len(path) < 2:
-        raise DomainError("the image consumes two edges per output edge")
-    validate_edge_path(pair.A, path)
-    beta_inv = pair.beta_inv()
-    decomp = [pair.alpha[e] for e in path]
-    out = []
-    for k in range(len(path) - 1):
-        s_k = decomp[k][1]
-        r_next = decomp[k + 1][0]
-        out.append(beta_inv[(s_k, r_next)])
-    return out
+    return _transport(pair.A, pair.alpha, pair.beta_inv(), path)
 
 
 def apply_psi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
@@ -257,17 +255,7 @@ def apply_psi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
     k-th edge is the alpha-preimage of r_{k+1} s_{k+1}, where
     beta(b_k) = s_k r_{k+1}.  Composing the two maps either way around
     realizes one shift step."""
-    if len(path) < 2:
-        raise DomainError("the image consumes two edges per output edge")
-    validate_edge_path(pair.B, path)
-    alpha_inv = pair.alpha_inv()
-    decomp = [pair.beta[e] for e in path]
-    out = []
-    for k in range(len(path) - 1):
-        r_next = decomp[k][1]
-        s_next = decomp[k + 1][0]
-        out.append(alpha_inv[(r_next, s_next)])
-    return out
+    return _transport(pair.B, pair.beta, pair.alpha_inv(), path)
 
 
 def edge_paths(M: Matrix, length: int) -> Iterable[tuple[Edge, ...]]:

@@ -167,6 +167,33 @@ class TestSse:
                            "--format", "json")
         assert code == 1
 
+    @pytest.mark.parametrize("cert, code, valid, kind", [
+        ({"A": [[2]], "B": [[1, 1], [1, 1]], "R": [[1, 1]], "S": [[1], [1]], "lag": 1},
+         0, True, "lag-1"),
+        ({"A": [[2]], "B": [[1, 1], [1, 0]], "R": [[1, 1]], "S": [[1], [1]], "lag": 1},
+         1, False, "lag-1"),
+        ({"A": [[2]], "B": [[2]], "R": [[2]], "S": [[2]], "lag": 2}, 0, True, "lag-2"),
+        ({"A": [[2]], "B": [[3]], "R": [[2]], "S": [[2]], "lag": 2}, 1, False, "lag-2"),
+        ({"A": [[2]], "B": [[2]], "chain": [{"R": [[1, 1]], "S": [[1], [1]]},
+                                            {"R": [[1], [1]], "S": [[1, 1]]}]},
+         0, True, "strong-chain"),
+    ])
+    def test_verify_reports(self, capsys, tmp_path, cert, code, valid, kind):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        want = (f'{{\n  "certificate": "{kind}",\n  "valid": {str(valid).lower()}\n}}\n')
+        assert run(capsys, "sse-verify", "--input", str(path), "--format", "json") == \
+            (code, want, "")
+        assert run(capsys, "sse-verify", "--input", str(path)) == \
+            (code, f"certificate: {kind}\nvalid: {'yes' if valid else 'no'}\n", "")
+
+    def test_verify_lag_one_shape_error(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"A": [[2]], "B": [[1, 1], [1, 1]], "R": [[1]],
+                                    "S": [[1], [1]], "lag": 1}))
+        assert run(capsys, "sse-verify", "--input", str(path)) == \
+            (2, "", "error: shape mismatch: need R 1x2 and S 2x1, got (1, 1) and (2, 1)\n")
+
     def test_search(self, capsys):
         code, out, _ = run(capsys, "sse-search", "--input", str(DATA / "search_pair.json"),
                            "--inner-dim", "2", "--entry-bound", "1", "--format", "json")

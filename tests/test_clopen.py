@@ -9,7 +9,7 @@ import ckshift as ck
 import ckshift.clopen as clopen
 from ckshift.clopen import (make_clopen, members_at_level, prepend_word,
                             strip_word)
-from ckshift.errors import ValidationError
+from ckshift.errors import UnsupportedPresentationError, ValidationError
 from ckshift.graphs import all_finite_graphs
 from ckshift.pathspace import SpectrumPoint, full_point, truncated_point
 
@@ -41,6 +41,22 @@ class TestBaseSets:
     def test_unknown_vertex(self, full2_model):
         with pytest.raises(ValidationError):
             ck.base_sets(full2_model, 5)
+
+    @pytest.mark.parametrize("half", (ck.vertex_cylinder, ck.follower_set))
+    def test_each_half_checks_the_vertex(self, full2_model, half):
+        for v in (0, 3, True, "1"):
+            with pytest.raises(ValidationError, match=f"unknown or unusable vertex {v}"):
+                half(full2_model, v)
+
+    def test_block_cylinder_beside_an_infinite_row(self):
+        # vertex 1 has infinitely many successors: U_1 is the level-0
+        # cylinder, while V_1 is no finite member list
+        m = ck.dense_model(ck.BlockPatternGraph((1, None), ((1, 1), (1, 1))))
+        assert ck.vertex_cylinder(m, 1) == ck.cylinder(m, (1,))
+        assert ck.vertex_cylinder(m, 1).serialize() == {"level": 0, "members": ["1"]}
+        for half in (ck.follower_set, ck.base_sets):
+            with pytest.raises(UnsupportedPresentationError):
+                half(m, 1)
 
 
 def random_clopen(model, rng, level=2):

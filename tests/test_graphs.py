@@ -157,6 +157,34 @@ class TestReachesLoop:
         ok, witness = ck.graphs.reaches_loop_with_witness(ray)
         assert not ok and witness == 1  # first tail vertex
 
+    def test_banded_prefix_witness(self):
+        # vertex 1 has no loop and its only edge leads into the tail
+        g = ck.BandedTailGraph(((0,),), 1, (1,), ((1,),))
+        assert ck.graphs.reaches_loop_with_witness(g) == (False, 1)
+        pi = ck.classify(g).purely_infinite
+        assert pi.witness == 1 and pi.reason == "some vertex reaches no loop"
+
+    def test_banded_against_truncation_oracle(self):
+        # loops live in the prefix and the tail only moves outwards, so the
+        # least vertex reaching no loop is the least such vertex of a
+        # truncation that keeps the first tail vertex
+        rng = random.Random(5)
+        for _ in range(300):
+            cutoff = rng.randint(0, 3)
+            offsets = tuple(rng.sample(range(1, 4), rng.randint(0, 2)))
+            prefix = tuple(tuple(rng.randint(0, 1) for _ in range(cutoff))
+                           for _ in range(cutoff))
+            cross = tuple(tuple(rng.randint(0, 1) if i + o > cutoff else 0
+                                for o in sorted(offsets))
+                          for i in range(1, cutoff + 1))
+            g = ck.BandedTailGraph(prefix, cutoff, offsets, cross)
+            window = cutoff + 3
+            closure = brute_reach(g.truncate(window))
+            on_cycle = {i for i in range(window) if closure[i][i]}
+            want = next(i + 1 for i in range(window) if i not in on_cycle
+                        and not any(closure[i][j] for j in on_cycle))
+            assert ck.graphs.reaches_loop_with_witness(g) == (False, want), g
+
 
 class TestEnumerateLoops:
     def test_golden_mean(self):

@@ -66,6 +66,19 @@ class TestValidateModel:
         with pytest.raises(ValidationError, match="vertex 2"):
             ck.validate_model(g, ())
 
+    def test_banded_without_offsets_names_an_uncovered_tail_vertex(self):
+        g = ck.BandedTailGraph((), 0, (), ())
+        family = [ck.make_pattern(g), ck.make_pattern(g, finite=(1,))]
+        with pytest.raises(ValidationError) as err:
+            ck.validate_model(g, family)
+        assert str(err.value) == "vertex 2 has no outgoing edge and lies in no boundary set"
+
+    def test_banded_without_offsets_names_the_prefix_vertex_first(self):
+        g = ck.BandedTailGraph(((0,),), 1, (), ((),))
+        with pytest.raises(ValidationError) as err:
+            ck.validate_model(g, [ck.make_pattern(g)])
+        assert str(err.value) == "vertex 1 has no outgoing edge and lies in no boundary set"
+
     def test_zero_row_covered_by_boundary(self):
         g = ck.FiniteGraph(((0, 1), (0, 0)))
         m = ck.validate_model(g, [ck.make_pattern(g, finite=(2,))])

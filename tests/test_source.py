@@ -35,3 +35,25 @@ def test_no_unused_imports():
         offenders += [f"{path.name}:{line} {name}" for name, line in imported.items()
                       if name not in used]
     assert offenders == []
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer wraps these names by lookup on ckshift, so a
+    # rename in the package must not strand an entry of its TARGETS table
+    import ckshift
+    import ckshift.cli  # noqa: F401  (loads the formats and cli layers)
+
+    tracer = SRC.parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"), filename=str(tracer))
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    missing = []
+    for layer, names in targets.items():
+        for qualname in names:
+            owner = getattr(ckshift, layer, None)
+            for part in qualname.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{layer}.{qualname}")
+    assert missing == []

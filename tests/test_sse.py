@@ -56,6 +56,47 @@ class TestVerify:
             for k in (1, 2, 3):
                 assert not ck.verify_shift_equivalence(A2, ((3,),), R, S, k)
 
+    def test_lag_one_is_the_elementary_check(self):
+        # random pairs and copies with one entry bumped agree verdict for verdict
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(300):
+            cert = list(random_pair(rng, nmax=3, entry=2))
+            which = rng.randrange(5)
+            if which < 4:
+                m = [list(row) for row in cert[which]]
+                i, j = rng.randrange(len(m)), rng.randrange(len(m[0]))
+                m[i][j] += 1
+                cert[which] = tuple(map(tuple, m))
+            A, B, R, S = cert
+            want = ck.verify_elementary(A, R, S, B)
+            assert ck.verify_shift_equivalence(A, B, R, S, 1) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("A, B, R, S", [
+        (((1, 1),), ALL1, R12, S21),               # A not square
+        (A2, ((1, 1),), R12, S21),                 # B not square
+        (A2, ALL1, ((-1, 1),), S21),               # R negative
+        (A2, ALL1, R12, ((1,), (-1,))),            # S negative
+        (A2, ALL1, ((1,),), S21),                  # R mis-shaped
+        (A2, ALL1, R12, ((1, 1),)),                # S mis-shaped
+        (((1, 1),), ALL1, ((-1, 1),), ((1, 1),)),  # several faults: the first wins
+    ])
+    def test_lag_one_raises_the_elementary_error(self, A, B, R, S):
+        with pytest.raises(ValidationError) as elementary:
+            ck.verify_elementary(A, R, S, B)
+        with pytest.raises(ValidationError) as lag_one:
+            ck.verify_shift_equivalence(A, B, R, S, 1)
+        assert str(lag_one.value) == str(elementary.value)
+
+    def test_higher_lags_share_the_pair_checks(self):
+        for k in (2, 3):
+            with pytest.raises(ValidationError, match="shape mismatch"):
+                ck.verify_shift_equivalence(A2, ALL1, ((1,),), S21, k)
+            with pytest.raises(ValidationError, match="R must be entrywise nonnegative"):
+                ck.verify_shift_equivalence(A2, ALL1, ((-1, 1),), S21, k)
+
     def test_lag_validation(self):
         with pytest.raises(ValidationError, match="lag"):
             ck.verify_shift_equivalence(A2, A2, ((2,),), ((2,),), 0)
@@ -146,6 +187,30 @@ class TestConjugacy:
         pair = ck.build_conjugacy(R12, S21, A2, ALL1)
         with pytest.raises(ValidationError):
             ck.apply_phi(pair, [(1, 1, 1), (1, 1, 9)])
+
+    def test_psi_checks_its_path(self):
+        pair = ck.build_conjugacy(R12, S21, A2, ALL1)
+        with pytest.raises(DomainError):
+            ck.apply_psi(pair, [(1, 1, 1)])
+        with pytest.raises(ValidationError, match="is not an edge"):
+            ck.apply_psi(pair, [(1, 1, 1), (1, 2, 2)])
+        with pytest.raises(ValidationError, match="do not meet"):
+            ck.apply_psi(pair, [(1, 1, 1), (2, 1, 1)])
+
+    def test_maps_against_the_defining_formulas(self):
+        # phi: b_k = beta^-1(s_k r_{k+1}) with alpha(a_k) = r_k s_k;
+        # psi: a_k = alpha^-1(r_{k+1} s_{k+1}) with beta(b_k) = s_k r_{k+1}
+        for pair in self._pairs():
+            alpha_inv = {v: k for k, v in pair.alpha.items()}
+            beta_inv = {v: k for k, v in pair.beta.items()}
+            for p in edge_paths(pair.A, 4):
+                want = [beta_inv[(pair.alpha[p[k]][1], pair.alpha[p[k + 1]][0])]
+                        for k in range(3)]
+                assert ck.apply_phi(pair, p) == want
+            for p in edge_paths(pair.B, 4):
+                want = [alpha_inv[(pair.beta[p[k]][1], pair.beta[p[k + 1]][0])]
+                        for k in range(3)]
+                assert ck.apply_psi(pair, p) == want
 
     def test_requires_elementary(self):
         with pytest.raises(ValidationError):
