@@ -14,7 +14,8 @@ Certificates:
     {"A": ..., "B": ..., "chain": [{"R": ..., "S": ...}, ...]}
 
 Malformed input is rejected with the offending field named; JSON syntax
-errors keep their line/column diagnostics.
+errors keep their line/column diagnostics, and nesting too deep to decode
+is an input error like any other.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValidationError("invalid JSON: nested too deeply to decode") from exc
 
 
 def _require(obj: dict, key: str, path: str):

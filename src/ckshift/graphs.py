@@ -10,13 +10,17 @@ with finitely many coupling edges from the prefix into the tail.
 
 Vertices are 1-based integers.  ``A(i, j) = 1`` permits the transition
 ``i -> j``; a path is a vertex word whose consecutive pairs are edges.
-The predicates on block patterns (finite or infinite) and banded tails
-are decided symbolically (class or tail analysis), never by vertex scans;
-words are enumerated by one explicit-stack generator, ``walks``.
+Finite graphs and block patterns share one code path: each presentation
+is decided on its class digraph (``_class_digraph``), where a finite graph
+is its own class digraph of singleton classes and a block pattern's class
+digraph is ``block``, compiled once at construction.  Banded tails are
+decided by tail analysis; no predicate scans vertices.  Words are
+enumerated by one explicit-stack generator, ``walks``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -101,11 +105,16 @@ class BlockPatternGraph:
 
     ``class_sizes`` holds one positive integer per class, or ``None`` for an
     infinite class.  Since classes occupy contiguous 1-based ranges, only the
-    last class may be infinite.
+    last class may be infinite.  Construction compiles ``starts``, the first
+    vertex of each class, and ``class_graph``, the class digraph ``block``
+    as a ``FiniteGraph``; the vertex maps read both and never rescan the
+    classes.
     """
 
     class_sizes: tuple[Optional[int], ...]
     block: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_graph: FiniteGraph = field(init=False, repr=False, compare=False)
     _finite: Optional[FiniteGraph] = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -128,6 +137,8 @@ class BlockPatternGraph:
                 f"block must be {len(sizes)}x{len(sizes)} to match the class list")
         object.__setattr__(self, "class_sizes", sizes)
         object.__setattr__(self, "block", block)
+        object.__setattr__(self, "starts", tuple(itertools.accumulate(sizes[:-1], initial=1)))
+        object.__setattr__(self, "class_graph", FiniteGraph(block))
 
     @property
     def num_classes(self) -> int:
@@ -135,58 +146,38 @@ class BlockPatternGraph:
 
     def class_start(self, c: int) -> int:
         """First vertex id of class ``c`` (classes are 1-based)."""
-        start = 1
-        for card in self.class_sizes[:c - 1]:
-            start += card
-        return start
+        return self.starts[c - 1]
 
     def class_of(self, v: int) -> int:
         if v < 1:
             raise ValidationError(f"vertex ids are positive, got {v}")
-        start = 1
-        for k, card in enumerate(self.class_sizes, start=1):
-            if card is None or v < start + card:
-                return k
-            start += card
-        raise ValidationError(f"vertex {v} exceeds the finite vertex range")
+        n = self.total_size()
+        if n is not None and v > n:
+            raise ValidationError(f"vertex {v} exceeds the finite vertex range")
+        return bisect.bisect_right(self.starts, v)
 
     def total_size(self) -> Optional[int]:
         """Number of vertices, or None when some class is infinite."""
-        total = 0
-        for card in self.class_sizes:
-            if card is None:
-                return None
-            total += card
-        return total
+        last = self.class_sizes[-1]
+        return None if last is None else self.starts[-1] + last - 1
 
     def edge(self, i: int, j: int) -> bool:
         return self.block[self.class_of(i) - 1][self.class_of(j) - 1] == 1
 
-    def target_classes(self, c: int) -> tuple[int, ...]:
-        return tuple(k + 1 for k, bit in enumerate(self.block[c - 1]) if bit)
-
-    def source_classes(self, c: int) -> tuple[int, ...]:
-        return tuple(k + 1 for k in range(self.num_classes) if self.block[k][c - 1])
-
     def out_degree(self, i: int) -> Optional[int]:
         """Out-degree of a vertex, or None when infinite."""
-        total = 0
-        for c in self.target_classes(self.class_of(i)):
-            card = self.class_sizes[c - 1]
-            if card is None:
-                return None
-            total += card
-        return total
+        cards = [self.class_sizes[c - 1] for c in self.class_graph.succ[self.class_of(i) - 1]]
+        return None if None in cards else sum(cards)
 
     def successors(self, i: int) -> tuple[int, ...]:
-        if self.out_degree(i) is None:
-            raise UnsupportedPresentationError(
-                f"vertex {i} has infinitely many successors; restrict to a window")
-        out = []
-        for c in self.target_classes(self.class_of(i)):
-            start = self.class_start(c)
-            out.extend(range(start, start + self.class_sizes[c - 1]))
-        return tuple(sorted(out))
+        out: list[int] = []
+        for c in self.class_graph.succ[self.class_of(i) - 1]:
+            card = self.class_sizes[c - 1]
+            if card is None:
+                raise UnsupportedPresentationError(
+                    f"vertex {i} has infinitely many successors; restrict to a window")
+            out.extend(range(self.starts[c - 1], self.starts[c - 1] + card))
+        return tuple(out)
 
     def materialize(self) -> FiniteGraph:
         """The explicit matrix, built on the first call and kept: only word
@@ -427,12 +418,24 @@ def enumerate_loops(g: GraphSpec, max_len: int) -> list[LoopRecord]:
 # ---------------------------------------------------------------------------
 # Predicates
 
+def _class_digraph(g: Union[FiniteGraph, BlockPatternGraph]) -> tuple[
+        FiniteGraph, Sequence[int], Sequence[Optional[int]]]:
+    """The class digraph, the first vertex each class stands for, and each
+    class's size (``None`` when infinite); classes are 1-based, so class
+    ``c`` is entry ``c - 1``.  A finite graph is its own class digraph of
+    singleton classes.  Adjacency in a block pattern depends only on the
+    classes and no class is empty, so a path joins two vertices iff one
+    joins their classes: the class digraph decides every block pattern,
+    finite or infinite."""
+    if isinstance(g, FiniteGraph):
+        return g, range(1, g.size + 1), (1,) * g.size
+    return g.class_graph, g.starts, g.class_sizes
+
+
 def has_no_zero_rows(g: GraphSpec) -> bool:
     """Every vertex has at least one outgoing edge."""
-    if isinstance(g, FiniteGraph):
-        return all(any(row) for row in g.rows)
-    if isinstance(g, BlockPatternGraph):
-        return all(any(row) for row in g.block)
+    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
+        return all(_class_digraph(g)[0].succ)
     if isinstance(g, BandedTailGraph):
         if not g.offsets:
             return False  # every tail vertex has an empty row
@@ -440,7 +443,7 @@ def has_no_zero_rows(g: GraphSpec) -> bool:
     raise ValidationError(f"unknown graph presentation {type(g).__name__}")
 
 
-def _functional_cycles(vertices: Iterable[int], step: dict[int, int]) -> list[list[int]]:
+def _functional_cycles(step: dict[int, int]) -> list[list[int]]:
     """Cycles of the partial map ``step`` restricted to its key set."""
     cycles = []
     state: dict[int, int] = {}  # 0 = on current walk, 1 = finished
@@ -485,21 +488,13 @@ def condition_l(g: GraphSpec) -> ConditionLVerdict:
     subgraph.  The witness, when the condition fails, is the
     lexicographically minimal exit-free loop.
     """
-    if isinstance(g, FiniteGraph):
-        step = {i: succ[0] for i, succ in enumerate(g.succ, start=1) if len(succ) == 1}
-        cycles = _functional_cycles(step.keys(), step)
-    elif isinstance(g, BlockPatternGraph):
+    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
         # Only vertices of singleton classes can be revisited by a forced
         # walk, so cycles live in the class-level functional graph over
         # singleton out-degree-1 classes.
-        step = {}
-        for c in range(1, g.num_classes + 1):
-            if g.class_sizes[c - 1] != 1:
-                continue
-            targets = g.target_classes(c)
-            if len(targets) == 1 and g.class_sizes[targets[0] - 1] == 1:
-                step[g.class_start(c)] = g.class_start(targets[0])
-        cycles = _functional_cycles(step.keys(), step)
+        h, first, sizes = _class_digraph(g)
+        step = {first[c - 1]: first[out[0] - 1] for c, out in enumerate(h.succ, start=1)
+                if len(out) == 1 and sizes[c - 1] == 1 and sizes[out[0] - 1] == 1}
     elif isinstance(g, BandedTailGraph):
         # Tail walks strictly increase, so exit-free cycles live in the prefix.
         step = {}
@@ -507,9 +502,9 @@ def condition_l(g: GraphSpec) -> ConditionLVerdict:
             succ = g.successors(i)
             if len(succ) == 1 and succ[0] <= g.cutoff:
                 step[i] = succ[0]
-        cycles = _functional_cycles(step.keys(), step)
     else:
         raise ValidationError(f"unknown graph presentation {type(g).__name__}")
+    cycles = _functional_cycles(step)
     if cycles:
         return ConditionLVerdict(False, _min_cycle_loop(cycles))
     return ConditionLVerdict(True, None)
@@ -532,28 +527,16 @@ def _reach_sets(fin: FiniteGraph) -> dict[int, set[int]]:
     return reach
 
 
-def _class_digraph(g: Union[FiniteGraph, BlockPatternGraph]
-                   ) -> tuple[FiniteGraph, Callable[[int], int]]:
-    """The digraph that reachability is decided on, and the map from its
-    vertices to the first graph vertex each stands for.  Adjacency in a
-    block pattern depends only on the classes and no class is empty, so a
-    path joins two vertices iff one joins their classes: the class digraph
-    decides every block pattern, finite or infinite."""
-    if isinstance(g, FiniteGraph):
-        return g, lambda v: v
-    return FiniteGraph(g.block), g.class_start
-
-
 def irreducible_with_witness(g: GraphSpec) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff every ordered vertex pair (i, j) is joined by a path of
     length >= 1; otherwise the lexicographically first unjoined pair."""
     if isinstance(g, (FiniteGraph, BlockPatternGraph)):
-        h, first = _class_digraph(g)
+        h, first, _ = _class_digraph(g)
         reach = _reach_sets(h)
         for i in h.vertices():
             for j in h.vertices():
                 if j not in reach[i]:
-                    return False, (first(i), first(j))
+                    return False, (first[i - 1], first[j - 1])
         return True, None
     if isinstance(g, BandedTailGraph):
         # Tail edges strictly increase and nothing re-enters the prefix, so
@@ -578,12 +561,12 @@ def reaches_loop_with_witness(g: GraphSpec) -> tuple[bool, Optional[int]]:
     """True iff every vertex has a path to a vertex lying on some loop;
     otherwise the minimal vertex that reaches none."""
     if isinstance(g, (FiniteGraph, BlockPatternGraph)):
-        h, first = _class_digraph(g)
+        h, first, _ = _class_digraph(g)
         reach = _reach_sets(h)
         on_cycle = {i for i in h.vertices() if i in reach[i]}
         for i in h.vertices():
             if i not in on_cycle and not (reach[i] & on_cycle):
-                return False, first(i)
+                return False, first[i - 1]
         return True, None
     if isinstance(g, BandedTailGraph):
         # Loops live in the prefix and no path comes back from the tail, so

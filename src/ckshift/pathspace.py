@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedPresentationError, ValidationError
 from .graphs import (BandedTailGraph, BlockPatternGraph, FiniteGraph,
-                     GraphSpec, Loop, finite_form, is_infinite,
+                     GraphSpec, Loop, _class_digraph, finite_form, is_infinite,
                      loop_has_outgoing_edge, primitive_closed_walks,
                      valid_vertex, vertex_count, walks)
 
@@ -103,21 +103,11 @@ def cluster_patterns(g: GraphSpec) -> frozenset[BoundaryPattern]:
     column is a finite set marching off to infinity and only finitely many
     columns meet any window, so the empty pattern is the only cluster point.
     """
-    if isinstance(g, FiniteGraph):
+    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
+        h, _, sizes = _class_digraph(g)
+        if sizes[-1] is None:  # only the last class can be infinite
+            return frozenset({make_pattern(g, classes=h.pred[-1])})
         return frozenset()
-    if isinstance(g, BlockPatternGraph):
-        out = set()
-        for c in range(1, g.num_classes + 1):
-            if g.class_sizes[c - 1] is None:
-                sources = g.source_classes(c)
-                fin = [s for s in sources if g.class_sizes[s - 1] is not None]
-                inf = [s for s in sources if g.class_sizes[s - 1] is None]
-                vertices: list[int] = []
-                for s in fin:
-                    start = g.class_start(s)
-                    vertices.extend(range(start, start + g.class_sizes[s - 1]))
-                out.add(make_pattern(g, finite=vertices, classes=inf))
-        return frozenset(out)
     if isinstance(g, BandedTailGraph):
         return frozenset({make_pattern(g)})
     raise ValidationError(f"unknown graph presentation {type(g).__name__}")
@@ -160,27 +150,21 @@ def validate_model(g: GraphSpec, boundary: Iterable[BoundaryPattern]) -> MarkovM
     def covered(v: int) -> bool:
         return any(p.contains(v, g) for p in fam)
 
-    if isinstance(g, FiniteGraph):
-        for i in g.vertices():
-            if g.out_degree(i) == 0 and not covered(i):
-                raise ValidationError(
-                    f"vertex {i} has no outgoing edge and lies in no boundary set")
-    elif isinstance(g, BlockPatternGraph):
-        for c in range(1, g.num_classes + 1):
-            if any(g.block[c - 1]):
+    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
+        h, first, sizes = _class_digraph(g)
+        for c, out in enumerate(h.succ, start=1):
+            if out:
                 continue
-            card = g.class_sizes[c - 1]
+            start, card = first[c - 1], sizes[c - 1]
             if card is None:
-                if not any(c in p.classes for p in fam):
-                    raise ValidationError(
-                        f"vertex {g.class_start(c)} has no outgoing edge "
-                        "and lies in no boundary set")
+                # patterns hold finitely many explicit vertices, so only a
+                # pattern naming the class covers all of it
+                bare = None if any(c in p.classes for p in fam) else start
             else:
-                start = g.class_start(c)
-                for v in range(start, start + card):
-                    if not covered(v):
-                        raise ValidationError(
-                            f"vertex {v} has no outgoing edge and lies in no boundary set")
+                bare = next((v for v in range(start, start + card) if not covered(v)), None)
+            if bare is not None:
+                raise ValidationError(
+                    f"vertex {bare} has no outgoing edge and lies in no boundary set")
     elif isinstance(g, BandedTailGraph):
         for i in range(1, g.cutoff + 1):
             if g.out_degree(i) == 0 and not covered(i):

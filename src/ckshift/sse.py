@@ -8,8 +8,8 @@ automorphism.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Container, Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .graphs import walks
@@ -174,7 +174,10 @@ def edge_set(M: Matrix) -> list[Edge]:
 
 
 def validate_edge_path(M: Matrix, path: Sequence[Edge]) -> None:
-    edges = set(edge_set(M))
+    _check_edge_path(set(edge_set(M)), path)
+
+
+def _check_edge_path(edges: Container[Edge], path: Sequence[Edge]) -> None:
     for e in path:
         if e not in edges:
             raise ValidationError(f"{e} is not an edge of the graph")
@@ -189,7 +192,8 @@ class ConjugacyPair:
     bijections: alpha matches each A-edge with a two-edge path through the
     bipartite R/S edges, beta does the same for B-edges.  Paths are
     assigned in lexicographic order (middle vertex, first copy, second
-    copy), pinning the choice the construction leaves free."""
+    copy), pinning the choice the construction leaves free.  The inverse
+    tables ``alpha_inv`` and ``beta_inv`` are built once, at construction."""
 
     A: Matrix
     B: Matrix
@@ -197,12 +201,12 @@ class ConjugacyPair:
     S: Matrix
     alpha: dict[Edge, tuple[Edge, Edge]]
     beta: dict[Edge, tuple[Edge, Edge]]
+    alpha_inv: dict[tuple[Edge, Edge], Edge] = field(init=False, repr=False, compare=False)
+    beta_inv: dict[tuple[Edge, Edge], Edge] = field(init=False, repr=False, compare=False)
 
-    def alpha_inv(self) -> dict[tuple[Edge, Edge], Edge]:
-        return {v: k for k, v in self.alpha.items()}
-
-    def beta_inv(self) -> dict[tuple[Edge, Edge], Edge]:
-        return {v: k for k, v in self.beta.items()}
+    def __post_init__(self):
+        object.__setattr__(self, "alpha_inv", {v: k for k, v in self.alpha.items()})
+        object.__setattr__(self, "beta_inv", {v: k for k, v in self.beta.items()})
 
 
 def build_conjugacy(R: Matrix, S: Matrix, A: Matrix, B: Matrix) -> ConjugacyPair:
@@ -232,13 +236,14 @@ def build_conjugacy(R: Matrix, S: Matrix, A: Matrix, B: Matrix) -> ConjugacyPair
     return ConjugacyPair(A, B, R, S, alpha, beta)
 
 
-def _transport(M: Matrix, split: dict[Edge, tuple[Edge, Edge]],
+def _transport(split: dict[Edge, tuple[Edge, Edge]],
                join: dict[tuple[Edge, Edge], Edge],
                path: Sequence[Edge]) -> list[Edge]:
-    """Split each edge into its two-edge path and rejoin adjacent halves."""
+    """Split each edge into its two-edge path and rejoin adjacent halves.
+    The keys of ``split`` are exactly the edges of the source matrix."""
     if len(path) < 2:
         raise DomainError("the image consumes two edges per output edge")
-    validate_edge_path(M, path)
+    _check_edge_path(split, path)
     halves = [split[e] for e in path]
     return [join[(first[1], nxt[0])] for first, nxt in zip(halves, halves[1:])]
 
@@ -247,7 +252,7 @@ def apply_phi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
     """One step of the conjugacy: an A-path a_0...a_{L-1} maps to the
     B-path b_0...b_{L-2} where alpha(a_k) = r_k s_k and each b_k is the
     beta-preimage of s_k r_{k+1}."""
-    return _transport(pair.A, pair.alpha, pair.beta_inv(), path)
+    return _transport(pair.alpha, pair.beta_inv, path)
 
 
 def apply_psi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
@@ -255,7 +260,7 @@ def apply_psi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
     k-th edge is the alpha-preimage of r_{k+1} s_{k+1}, where
     beta(b_k) = s_k r_{k+1}.  Composing the two maps either way around
     realizes one shift step."""
-    return _transport(pair.B, pair.beta, pair.alpha_inv(), path)
+    return _transport(pair.beta, pair.alpha_inv, path)
 
 
 def edge_paths(M: Matrix, length: int) -> Iterable[tuple[Edge, ...]]:

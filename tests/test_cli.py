@@ -392,6 +392,23 @@ class TestContract:
             assert (optimized.returncode, optimized.stdout) == \
                 (normal.returncode, normal.stdout), argv
 
+    def test_deep_nesting_is_2(self, tmp_path):
+        # JSON nested past the decoder's recursion limit is an input error,
+        # from a file or from --boundary, never a traceback
+        deep = "[" * 100000 + "]" * 100000
+        p = tmp_path / "deep.json"
+        p.write_text(deep)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ckshift.__file__).parents[1]))
+        for argv in (("classify", "--input", str(p)),
+                     ("invariants", "--input", str(p)),
+                     ("ck-verify", "--input", str(DATA / "golden_mean.json"),
+                      "--boundary", deep[:20000] + deep[-20000:])):
+            proc = subprocess.run([sys.executable, "-m", "ckshift.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2, argv[0]
+            assert proc.stdout == "" and "Traceback" not in proc.stderr, argv[0]
+            assert proc.stderr.startswith("error: "), argv[0]
+
 
 # ---------------------------------------------------------------------------
 # Malformed and well-formed inputs for the four matrix verbs

@@ -297,6 +297,27 @@ class TestBlockPatternsOnClasses:
             count += 1
         assert count == 13974
 
+    def test_vertex_maps_match_materialized_exhaustive(self):
+        # the compiled class starts and class digraph against the explicit
+        # matrix: per-vertex maps, and validate_model's verdict and message
+        def model_error(h):
+            try:
+                ck.validate_model(h, ())
+            except ValidationError as exc:
+                return str(exc)
+            return None
+
+        for g in block_patterns():
+            fin = g.materialize()
+            owner = [c for c, card in enumerate(g.class_sizes, start=1) for _ in range(card)]
+            for v in fin.vertices():
+                assert g.successors(v) == fin.successors(v), (g.class_sizes, g.block, v)
+                assert g.out_degree(v) == fin.out_degree(v), (g.class_sizes, g.block, v)
+                assert g.class_of(v) == owner[v - 1], (g.class_sizes, g.block, v)
+            with pytest.raises(ValidationError, match="exceeds the finite vertex range"):
+                g.class_of(fin.size + 1)
+            assert model_error(g) == model_error(fin), (g.class_sizes, g.block)
+
     def test_patterns_checked_against_vertex_count(self):
         g = ck.BlockPatternGraph((2, 3), ((0, 1), (1, 1)))
         assert ck.make_pattern(g, classes=(2,)) == ck.make_pattern(g, finite=(3, 4, 5))
@@ -392,3 +413,10 @@ class TestValidation:
         assert g.class_start(2) == 3 and g.class_start(3) == 4
         assert g.successors(1) == (3,)
         assert g.out_degree(4) is None
+        assert g.starts == (1, 3, 4) and g.class_graph.succ == ((2,), (1, 3), (3,))
+        with pytest.raises(UnsupportedPresentationError, match="infinitely many"):
+            g.successors(3)
+        # the compiled fields stay out of equality, hashing and repr
+        h = ck.BlockPatternGraph((2, 1, None), g.block)
+        assert g == h and hash(g) == hash(h)
+        assert repr(g) == f"BlockPatternGraph(class_sizes=(2, 1, None), block={g.block!r})"

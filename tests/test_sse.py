@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ckshift as ck
 from ckshift.errors import DomainError, ValidationError
 from ckshift.intmat import det, identity, mat_mul, mat_pow, mat_sub, trace
-from ckshift.sse import (DimensionGroup, edge_paths, edge_set,
+from ckshift.sse import (DimensionGroup, edge_paths, edge_set, validate_edge_path,
                          verify_strong_chain)
 
 A2 = ((2,),)
@@ -211,6 +211,20 @@ class TestConjugacy:
                 want = [alpha_inv[(pair.beta[p[k]][1], pair.beta[p[k + 1]][0])]
                         for k in range(3)]
                 assert ck.apply_psi(pair, p) == want
+
+    def test_split_tables_are_the_edge_sets(self):
+        # the transport checks a path against the keys of alpha / beta, so
+        # they must be exactly the edges of A / B; the inverses are built once
+        for pair in self._pairs():
+            assert sorted(pair.alpha) == edge_set(pair.A)
+            assert sorted(pair.beta) == edge_set(pair.B)
+            assert pair.alpha_inv == {v: k for k, v in pair.alpha.items()}
+            assert pair.beta_inv == {v: k for k, v in pair.beta.items()}
+        with pytest.raises(ValidationError, match=r"\(1, 1, 3\) is not an edge"):
+            validate_edge_path(A2, [(1, 1, 1), (1, 1, 3)])
+        with pytest.raises(ValidationError, match="do not meet head-to-tail"):
+            validate_edge_path(ALL1, [(1, 1, 1), (2, 1, 1)])
+        validate_edge_path(ALL1, [(1, 2, 1), (2, 1, 1)])
 
     def test_requires_elementary(self):
         with pytest.raises(ValidationError):
