@@ -3,16 +3,19 @@
 Every verb reads structured-text input, runs one analysis bundle, and
 emits a deterministic report.  Exit codes: 0 = analysis completed with
 every check passing, 1 = completed but some check failed or produced a
-witness, 2 = input or usage error.  JSON reports sort their keys and
-contain no floating point; text reports are line oriented.
+witness, 2 = input or usage error, or an internal error reported as one
+``error: internal error:`` line.  JSON reports are written by ``_json``
+exactly as ``json.dumps(report, sort_keys=True, indent=2)`` would write
+them, and contain no floating point; text reports are line oriented.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import formats, graphs, pathspace, semigroup, sse
@@ -33,9 +36,45 @@ def _read_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for the
+    six types a report holds: dicts with str keys, lists, str, int, bool and
+    None.  Any other type raises ``TypeError`` rather than print something
+    ``json.dumps`` would have printed differently (a tuple, a float, an int
+    key).  The stdlib encoder is pure Python whenever ``indent`` is set."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is not dict and kind is not list:
+        raise TypeError(f"a report cannot hold a {kind.__name__}")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is dict:
+        if set(map(type, value)) != {str}:
+            raise TypeError("report keys must be str")
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        items = map(repr, value)
+    elif kinds == {str}:
+        items = map(encode_basestring_ascii, value)
+    else:
+        items = [_json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
 def _emit(report: dict, fmt: str, out) -> None:
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2), file=out)
+        print(_json(report), file=out)
         return
     def lines(prefix: str, value) -> None:
         if isinstance(value, dict):
@@ -292,7 +331,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; ``parse_args``
+    returns a fresh namespace on every call, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="ckshift",
         description="Exact analyses of one-sided Markov shifts and shift equivalences.")
@@ -312,14 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report, code = _HANDLERS[args.verb](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.verb == "spectrum" and args.format == "text":
             # spectrum dumps are line oriented: one point per line
             for key in ("level", "count", "partial"):
@@ -329,9 +366,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             _emit(report, args.format, sys.stdout)
         sys.stdout.flush()
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader left early (`| head`): keep the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except Exception as exc:  # a fault of the program: one line, not a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, short_repr
 from .graphs import BandedTailGraph, BlockPatternGraph, FiniteGraph, GraphSpec
 from .intmat import Matrix, as_matrix
 from .pathspace import (BoundaryPattern, MarkovModel, cluster_patterns,
@@ -47,7 +47,7 @@ def loads(text: str):
 
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
-        raise _fail(path, f"missing field {key!r}")
+        raise _fail(path, f"missing field {short_repr(key)}")
     return obj[key]
 
 
@@ -82,21 +82,22 @@ def parse_graph(obj) -> GraphSpec:
             elif isinstance(card, int) and not isinstance(card, bool):
                 sizes.append(card)
             else:
-                raise _fail(path + ".card", f"must be a positive integer or 'inf', got {card!r}")
+                raise _fail(path + ".card",
+                            f"must be a positive integer or 'inf', got {short_repr(card)}")
         block = _int_rows(_require(obj, "block", "graph"), "graph.block")
         return BlockPatternGraph(tuple(sizes), tuple(map(tuple, block)))
     if kind == "banded":
         prefix = _int_rows(_require(obj, "prefix", "graph"), "graph.prefix")
         cutoff = _require(obj, "cutoff", "graph")
         if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
-            raise _fail("graph.cutoff", f"must be a nonnegative integer, got {cutoff!r}")
+            raise _fail("graph.cutoff", f"must be a nonnegative integer, got {short_repr(cutoff)}")
         offsets = _require(obj, "offsets", "graph")
         if not isinstance(offsets, list):
             raise _fail("graph.offsets", "must be a list of positive integers")
         cross = _int_rows(_require(obj, "cross", "graph"), "graph.cross")
         return BandedTailGraph(tuple(map(tuple, prefix)), cutoff,
                                tuple(offsets), tuple(map(tuple, cross)))
-    raise _fail("graph.type", f"unknown graph type {kind!r}")
+    raise _fail("graph.type", f"unknown graph type {short_repr(kind)}")
 
 
 def parse_boundary(g: GraphSpec, spec) -> frozenset[BoundaryPattern]:
@@ -173,7 +174,7 @@ def parse_certificate(obj) -> Certificate:
     S = parse_matrix(_require(obj, "S", "certificate"), "certificate.S")
     lag = obj.get("lag", 1)
     if not isinstance(lag, int) or isinstance(lag, bool) or lag < 1:
-        raise _fail("certificate.lag", f"must be a positive integer, got {lag!r}")
+        raise _fail("certificate.lag", f"must be a positive integer, got {short_repr(lag)}")
     return Certificate(A, B, ((R, S),), lag)
 
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import UnsupportedPresentationError, ValidationError
+from .errors import UnsupportedPresentationError, ValidationError, short_repr
 
 
 def _check_01_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
@@ -35,7 +35,7 @@ def _check_01_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
         for c, entry in enumerate(row):
             if not isinstance(entry, int) or isinstance(entry, bool) or entry not in (0, 1):
                 raise ValidationError(
-                    f"{what}[{r+1}][{c+1}] must be 0 or 1, got {entry!r}")
+                    f"{what}[{r+1}][{c+1}] must be 0 or 1, got {short_repr(entry)}")
             clean.append(entry)
         out.append(tuple(clean))
     return tuple(out)
@@ -130,7 +130,8 @@ class BlockPatternGraph:
                         "contiguous vertex ranges allow only a final infinite class")
             elif not isinstance(card, int) or isinstance(card, bool) or card < 1:
                 raise ValidationError(
-                    f"class {k+1} cardinality must be a positive integer or infinite, got {card!r}")
+                    f"class {k+1} cardinality must be a positive integer or infinite, "
+                    f"got {short_repr(card)}")
         block = _check_01_rows(self.block, "block")
         if len(block) != len(sizes) or any(len(row) != len(sizes) for row in block):
             raise ValidationError(
@@ -216,7 +217,7 @@ class BandedTailGraph:
         offs = tuple(sorted(set(self.offsets)))
         for o in offs:
             if not isinstance(o, int) or isinstance(o, bool) or o < 1:
-                raise ValidationError(f"offsets must be positive integers, got {o!r}")
+                raise ValidationError(f"offsets must be positive integers, got {short_repr(o)}")
         cross = _check_01_rows(self.cross, "cross")
         if len(cross) != self.cutoff or any(len(r) != len(offs) for r in cross):
             raise ValidationError(

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import mul
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, short_repr
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -27,7 +27,8 @@ def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
         vals = []
         for c, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, int):
-                raise ValidationError(f"entry [{r+1}][{c+1}] must be an integer, got {x!r}")
+                raise ValidationError(
+                    f"entry [{r+1}][{c+1}] must be an integer, got {short_repr(x)}")
             vals.append(x)
         if width is None:
             width = len(vals)

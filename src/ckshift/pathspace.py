@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DomainError, UnsupportedPresentationError, ValidationError
+from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
 from .graphs import (BandedTailGraph, BlockPatternGraph, FiniteGraph,
                      GraphSpec, Loop, _class_digraph, finite_form, is_infinite,
                      loop_has_outgoing_edge, primitive_closed_walks,
@@ -62,7 +62,7 @@ def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
     n = vertex_count(g)
     for v in finite:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValidationError(f"pattern vertices are positive integers, got {v!r}")
+            raise ValidationError(f"pattern vertices are positive integers, got {short_repr(v)}")
         if n is not None and v > n:
             raise ValidationError(f"pattern vertex {v} exceeds graph size {n}")
         fin.add(v)
@@ -71,7 +71,7 @@ def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
         if not isinstance(g, BlockPatternGraph):
             raise ValidationError("class patterns only apply to block-pattern graphs")
         if not isinstance(c, int) or c < 1 or c > g.num_classes:
-            raise ValidationError(f"unknown class id {c!r}")
+            raise ValidationError(f"unknown class id {short_repr(c)}")
         card = g.class_sizes[c - 1]
         if card is None:
             cls.add(c)

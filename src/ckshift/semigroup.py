@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .clopen import (CK4_FAILS, CK4_NOT_FINITELY_SUPPORTED, ClopenSet,
                      ck4_identity, empty_clopen, follower_set, full_space,
                      members_at_level, prepend_word, strip_word)
-from .errors import DomainError, UnsupportedPresentationError, ValidationError
+from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
 from .graphs import finite_form, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, spectrum_level,
                         truncated_point, word_admissible)
@@ -257,7 +257,7 @@ def parse_monomial(model: MarkovModel, text: str) -> Monomial:
             continue
         m = _TERM.fullmatch(chunk)
         if not m:
-            raise ValidationError(f"cannot parse monomial factor {chunk!r}")
+            raise ValidationError(f"cannot parse monomial factor {short_repr(chunk)}")
         word = tuple(int(v) for v in m.group(1).split(","))
         factor = product(model, (generator(model, i) for i in word))
         if m.group(2):

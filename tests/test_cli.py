@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckshift
-from ckshift.cli import main
+from ckshift import cli
+from ckshift.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -408,6 +409,85 @@ class TestContract:
             assert proc.returncode == 2, argv[0]
             assert proc.stdout == "" and "Traceback" not in proc.stderr, argv[0]
             assert proc.stderr.startswith("error: "), argv[0]
+
+    def test_rejected_value_is_quoted_briefly(self, tmp_path, capsys):
+        # a bad entry decoded from deep nesting is quoted in at most 80
+        # characters, not in full; out of process, so that the decoder's
+        # depth limit is the command's own
+        depth = 950
+        p = tmp_path / "deep-entry.json"
+        p.write_text('{"type":"finite","rows":[[' + "[" * depth + "]" * depth + "]]}")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ckshift.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ckshift.cli", "classify",
+                               "--input", str(p)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: rows[1][1] must be 0 or 1, got " + "[" * 79 + "…\n"
+        # a short value keeps its whole repr
+        p.write_text('{"type":"finite","rows":[[0,"x"],[1,0]]}')
+        code, out, err = run(capsys, "classify", "--input", str(p))
+        assert (code, out, err) == (2, "", "error: rows[1][2] must be 0 or 1, got 'x'\n")
+
+    @staticmethod
+    def faulty_handler(args):
+        raise RuntimeError("handler fault")
+
+    @staticmethod
+    def float_report(args):
+        return {"ratio": 0.5}, 0  # the emitter refuses a float
+
+    @pytest.mark.parametrize("handler, message", [
+        ("faulty_handler", "RuntimeError: handler fault"),
+        ("float_report", "TypeError: a report cannot hold a float"),
+    ])
+    def test_internal_error_is_one_line(self, handler, message, monkeypatch, capsys):
+        monkeypatch.setitem(cli._HANDLERS, "classify", getattr(self, handler))
+        code, out, err = run(capsys, "classify", "--input", str(DATA / "full2.json"),
+                             "--format", "json")
+        assert (code, out, err) == (2, "", f"error: internal error: {message}\n")
+
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["classify"])  # a usage error leaves nothing behind in the parser
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv, golden in (
+            (("classify", "--input", str(DATA / "golden_mean.json"),
+              "--format", "json"), "golden_classify_expected.json"),
+            (("periodic", "--input", str(DATA / "two_cycle.json"),
+              "--max-period", "3", "--format", "json"),
+             "golden_periodic_expected.json"),
+        ):
+            for _ in range(2):
+                _, out, _ = run(capsys, *argv)
+                assert out == (DATA / golden).read_text()
+
+
+# ---------------------------------------------------------------------------
+# The JSON report encoder against json.dumps
+
+def report_values(depth):
+    text = st.text(st.characters(exclude_categories=()))  # controls, surrogates, non-BMP
+    ints = st.integers() | st.integers(-(10 ** 80), 10 ** 80)
+    leaves = st.none() | st.booleans() | ints | text
+    if depth == 0:
+        return leaves
+    inner = report_values(depth - 1)
+    return (leaves | st.lists(inner, max_size=4) | st.lists(ints, max_size=6)
+            | st.lists(text, max_size=6) | st.dictionaries(text, inner, max_size=4))
+
+
+class TestJsonEmitter:
+    @settings(max_examples=400, deadline=None)
+    @given(value=report_values(4))
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {"a": (1, 2)}, {1: "a"}, [1, 2.0], {"a": {"b": 0.0}}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 # ---------------------------------------------------------------------------
