@@ -62,13 +62,7 @@ def _json(value, newline: str = "\n") -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
                  for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    kinds = set(map(type, value))
-    if kinds == {int}:
-        items = map(repr, value)
-    elif kinds == {str}:
-        items = map(encode_basestring_ascii, value)
-    else:
-        items = [_json(v, inner) for v in value]
+    items = [_json(v, inner) for v in value]
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 

@@ -47,7 +47,7 @@ def loads(text: str):
 
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
-        raise _fail(path, f"missing field {short_repr(key)}")
+        raise _fail(path, f"missing field {key!r}")
     return obj[key]
 
 

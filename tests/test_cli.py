@@ -19,8 +19,11 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
+    """Run ``main`` in process; a fault that the top-level guard turned
+    into an ``error: internal error:`` line fails the test."""
     code = main(list(argv))
     out = capsys.readouterr()
+    assert "internal error" not in out.err, out.err
     return code, out.out, out.err
 
 
@@ -409,6 +412,7 @@ class TestContract:
             assert proc.returncode == 2, argv[0]
             assert proc.stdout == "" and "Traceback" not in proc.stderr, argv[0]
             assert proc.stderr.startswith("error: "), argv[0]
+            assert "internal error" not in proc.stderr, argv[0]
 
     def test_rejected_value_is_quoted_briefly(self, tmp_path, capsys):
         # a bad entry decoded from deep nesting is quoted in at most 80
@@ -442,8 +446,8 @@ class TestContract:
     ])
     def test_internal_error_is_one_line(self, handler, message, monkeypatch, capsys):
         monkeypatch.setitem(cli._HANDLERS, "classify", getattr(self, handler))
-        code, out, err = run(capsys, "classify", "--input", str(DATA / "full2.json"),
-                             "--format", "json")
+        code = main(["classify", "--input", str(DATA / "full2.json"), "--format", "json"])
+        out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: internal error: {message}\n")
 
     def test_parser_is_built_once(self, capsys):
@@ -570,7 +574,7 @@ def fuzz_matrix_inputs(draw, verb):
 
 class TestMatrixVerbFuzz:
     """Every input gets exit 0, 1 or 2 and a report or an error line;
-    no exception escapes ``main``."""
+    no exception escapes a handler, not even as an internal-error line."""
 
     @pytest.mark.parametrize("verb", ("invariants", "sse-verify", "sse-search", "conjugacy"))
     @settings(max_examples=80, deadline=None)
@@ -587,4 +591,5 @@ class TestMatrixVerbFuzz:
                 code = exc.code
         assert code in (0, 1, 2), (obj, args, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue(), (obj, args, err.getvalue())
         assert (code == 2) == bool(err.getvalue()), (obj, args, err.getvalue())
