@@ -283,10 +283,10 @@ def _run_conjugacy(args):
         raise ValidationError(
             f"conjugacy needs an elementary (lag-1) certificate, got lag {cert.lag}")
     (R, S), = cert.pairs
-    try:
-        pair = sse.build_conjugacy(R, S, cert.A, cert.B)
-    except ValidationError:
+    # a malformed pair raises here and exits 2, as in sse-verify
+    if not sse.verify_elementary(cert.A, R, S, cert.B):
         return {"valid": False}, 1
+    pair = sse.build_conjugacy(R, S, cert.A, cert.B)
 
     def table(mapping):
         return [{"edge": list(e), "first": list(p[0]), "second": list(p[1])}

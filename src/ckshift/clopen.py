@@ -58,8 +58,12 @@ class ClopenSet:
         return a <= b
 
     def complement(self) -> "ClopenSet":
-        full = full_space(self.model, self.level)
-        return full.difference(self)
+        if is_infinite(self.model.graph):
+            raise UnsupportedPresentationError(
+                "the full space of an infinite graph is not a finite member list")
+        rest = [p for p in spectrum_level(self.model, self.level).points
+                if p not in self.members]
+        return make_clopen(self.model, self.level, rest)
 
     def serialize(self) -> dict:
         return {"level": self.level,
@@ -141,10 +145,8 @@ def empty_clopen(model: MarkovModel) -> ClopenSet:
 
 
 def full_space(model: MarkovModel, level: int = 0) -> ClopenSet:
-    if is_infinite(model.graph):
-        raise UnsupportedPresentationError(
-            "the full space of an infinite graph is not a finite member list")
-    return make_clopen(model, level, spectrum_level(model, level).points)
+    """The whole space: the complement of the empty set at ``level``."""
+    return ClopenSet(model, level, frozenset()).complement()
 
 
 def cylinder(model: MarkovModel, word: Sequence[int]) -> ClopenSet:

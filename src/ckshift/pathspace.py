@@ -3,8 +3,9 @@
 A point is either an infinite admissible vertex sequence or a finite word
 paired with a boundary set containing its last letter.  The space is the
 projective limit of finite level spectra: at level n these are the full
-words of length n+1, the shorter words capped by a boundary set, and the
-empty-word boundary points.  This module computes the boundary family of
+words of length n+1 in lexicographic order, then the shorter words capped
+by a boundary set by decreasing length, then the empty-word boundary
+points, all from one walk.  This module computes the boundary family of
 column cluster patterns, validates models, enumerates levels, applies the
 shift and the level projections, and scans for periodic points and
 essential-freeness violations.
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
 from .graphs import (BandedTailGraph, BlockPatternGraph, FiniteGraph,
-                     GraphSpec, Loop, _class_digraph, finite_form, is_infinite,
+                     GraphSpec, Loop, _class_digraph, finite_form,
                      loop_has_outgoing_edge, primitive_closed_walks,
                      valid_vertex, vertex_count, walks)
 
@@ -70,7 +71,7 @@ def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
     for c in classes:
         if not isinstance(g, BlockPatternGraph):
             raise ValidationError("class patterns only apply to block-pattern graphs")
-        if not isinstance(c, int) or c < 1 or c > g.num_classes:
+        if not isinstance(c, int) or isinstance(c, bool) or c < 1 or c > g.num_classes:
             raise ValidationError(f"unknown class id {short_repr(c)}")
         card = g.class_sizes[c - 1]
         if card is None:
@@ -210,15 +211,15 @@ class SpectrumPoint:
         return (1, -len(self.word), self.word, self.boundary.sort_key())
 
     def render(self) -> str:
-        word = ",".join(str(v) for v in self.word)
+        word = ",".join(map(str, self.word))
         if self.boundary is None:
             return word
         return f"{word};{self.boundary.render()}"
 
     def pretty(self) -> str:
         if self.boundary is None:
-            return "(" + ",".join(str(v) for v in self.word) + ")"
-        word = ",".join(str(v) for v in self.word) if self.word else "∅"
+            return "(" + ",".join(map(str, self.word)) + ")"
+        word = ",".join(map(str, self.word)) if self.word else "∅"
         return f"({word};{self.boundary.render()})"
 
 
@@ -242,35 +243,6 @@ def word_admissible(g: GraphSpec, word: Sequence[int]) -> bool:
     return all(g.edge(a, b) for a, b in zip(word, word[1:]))
 
 
-def admissible_words(g: GraphSpec, length: int,
-                     window: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All admissible words of the given length in lexicographic order.
-    Infinite presentations require a window (letters restricted to
-    1..window) and the enumeration is flagged partial by the caller."""
-    if length == 0:
-        yield ()
-        return
-    fin = finite_form(g)
-    if fin is not None:
-        starts: Sequence[int] = fin.vertices()
-        succ = fin.succ
-
-        def extend(word: list[int]) -> Iterable[int]:
-            return succ[word[-1] - 1]
-    else:
-        if window is None:
-            raise UnsupportedPresentationError(
-                "enumerating words of an infinite graph needs a window bound")
-        starts = range(1, window + 1)
-
-        def extend(word: list[int]) -> Iterable[int]:
-            return [j for j in starts if g.edge(word[-1], j)]
-
-    for word in walks(starts, extend, length):
-        if len(word) == length:
-            yield tuple(word)
-
-
 @dataclass(frozen=True)
 class SpectrumSlice:
     points: tuple[SpectrumPoint, ...]
@@ -279,29 +251,45 @@ class SpectrumSlice:
 
 def spectrum_level(model: MarkovModel, n: int,
                    window: Optional[int] = None) -> SpectrumSlice:
-    """The level-n spectrum: full words of length n+1, then truncated words
-    by decreasing length, then the empty-word boundary points.  For
-    infinite graphs a window must be supplied and the result is the
-    window-restricted sub-spectrum, flagged partial."""
+    """The level-n spectrum in ``SpectrumPoint.sort_key`` order, from one
+    walk to length n+1: full words, then truncated words by decreasing
+    length, then the empty-word boundary points.  Nothing is sorted:
+    ``walks`` is lexicographic as successors ascend, and caps follow
+    ``boundary_sorted()``.  For infinite graphs a window must be supplied;
+    the result is the window-restricted sub-spectrum, flagged partial."""
     if n < 0:
         raise ValidationError("level must be nonnegative")
     g = model.graph
-    infinite = is_infinite(g)
-    if infinite and window is None:
+    fin = finite_form(g)
+    if fin is not None:
+        starts: Sequence[int] = fin.vertices()
+        rows = dict(zip(starts, fin.succ))
+    elif window is None:
         raise UnsupportedPresentationError(
             "spectrum of an infinite graph needs a window bound")
-    pts: list[SpectrumPoint] = [full_point(w) for w in admissible_words(g, n + 1, window)]
+    else:  # window rows are tested edge by edge when the walk first needs them
+        starts, rows = range(1, window + 1), {}
+
+    def extend(word: list[int]) -> Sequence[int]:
+        v = word[-1]
+        if v not in rows:
+            rows[v] = [j for j in starts if g.edge(v, j)]
+        return rows[v]
+
     fam = model.boundary_sorted()
-    for r in range(n, 0, -1) if fam else ():
-        layer = []
-        for w in admissible_words(g, r, window):
-            for pat in fam:
-                if pat.contains(w[-1], g):
-                    layer.append(truncated_point(w, pat))
-        layer.sort(key=SpectrumPoint.sort_key)
-        pts.extend(layer)
-    pts.extend(truncated_point((), pat) for pat in fam)
-    return SpectrumSlice(tuple(pts), infinite)
+    caps = {v: [pat for pat in fam if pat.contains(v, g)] for v in starts} if fam else {}
+    full: list[SpectrumPoint] = []
+    layers: list[list[SpectrumPoint]] = [[] for _ in range(n + 1)]
+    for word in walks(starts, extend, n + 1):
+        if len(word) > n:
+            full.append(SpectrumPoint(tuple(word)))
+        elif caps:
+            w = tuple(word)
+            layers[len(w)].extend(SpectrumPoint(w, pat) for pat in caps[w[-1]])
+    for layer in reversed(layers):
+        full.extend(layer)
+    full.extend(SpectrumPoint((), pat) for pat in fam)
+    return SpectrumSlice(tuple(full), fin is None)
 
 
 def project_point(p: SpectrumPoint, from_level: int) -> SpectrumPoint:
@@ -320,7 +308,9 @@ def project_point(p: SpectrumPoint, from_level: int) -> SpectrumPoint:
 
 
 def fiber(model: MarkovModel, p: SpectrumPoint, at_level: int) -> tuple[SpectrumPoint, ...]:
-    """All level-(at_level+1) points projecting onto ``p``."""
+    """All level-(at_level+1) points projecting onto ``p``, in ``sort_key``
+    order: successors ascend in every presentation, and caps follow
+    ``boundary_sorted()``."""
     if not point_valid_at(p, at_level):
         raise ValidationError(f"point {p.render()} is not a level-{at_level} point")
     if not p.is_full:
@@ -337,7 +327,7 @@ def fiber(model: MarkovModel, p: SpectrumPoint, at_level: int) -> tuple[Spectrum
     for pat in model.boundary_sorted():
         if pat.contains(last, g):
             out.append(truncated_point(p.word, pat))
-    return tuple(sorted(out, key=SpectrumPoint.sort_key))
+    return tuple(out)
 
 
 def shift_point(p, from_level: Optional[int] = None):

@@ -375,6 +375,7 @@ def tail_partition(model: MarkovModel, max_shifts: int,
     identifies the points".  Full words of the level share a class iff
     their tails after max_shifts letters agree; truncated points also need
     equal length and boundary set.  Classes are nested as max_shifts grows.
+    Points and classes come in spectrum order, which is ``sort_key`` order.
     """
     if level < max_shifts:
         raise ValidationError("the level must be at least the shift bound")
@@ -388,6 +389,4 @@ def tail_partition(model: MarkovModel, max_shifts: int,
             k = min(max_shifts, len(pt.word))
             key = ("trunc", len(pt.word), pt.boundary, pt.word[k:])
         buckets.setdefault(key, []).append(pt)
-    classes = [sorted(v, key=SpectrumPoint.sort_key) for v in buckets.values()]
-    classes.sort(key=lambda cls: cls[0].sort_key())
-    return classes
+    return list(buckets.values())

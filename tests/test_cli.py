@@ -99,6 +99,17 @@ class TestCkVerify:
                            "--format", "json")
         assert code == 0
 
+    def test_bool_class_id_is_2(self, capsys, tmp_path):
+        path = tmp_path / "block.json"
+        path.write_text('{"type":"block","classes":[{"card":2},{"card":"inf"}],'
+                        '"block":[[1,1],[1,1]]}')
+        for boundary, message in (
+                ('[{"classes":[true,2]}]', "unknown class id True"),
+                ('[{"finite":[true]}]', "pattern vertices are positive integers, got True")):
+            code, out, err = run(capsys, "ck-verify", "--input", str(path),
+                                 "--boundary", boundary)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), boundary
+
 
 class TestFreeness:
     def test_full_shift_free(self, capsys):
@@ -247,6 +258,24 @@ class TestSse:
         code, out, err = run(capsys, "conjugacy", "--input", str(cert), "--format", "json")
         assert code == 2 and out == ""
         assert "lag-1" in err and "lag 2" in err
+
+
+    @pytest.mark.parametrize("change, code, message", (
+        ({"A": [[1, 1]]}, 2, "error: A must be square\n"),
+        ({"R": [[-1], [1]]}, 2, "error: R must be entrywise nonnegative\n"),
+        ({"B": [[3]]}, 1, ""),
+    ))
+    def test_conjugacy_input_errors_exit_2(self, capsys, tmp_path, change, code, message):
+        # a malformed pair is an input error, as in sse-verify; only a
+        # well-formed pair that fails A = RS or B = SR is reported invalid
+        cert = {"A": [[1, 1], [1, 1]], "B": [[2]], "R": [[1], [1]], "S": [[1, 1]], **change}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        if code == 2:
+            assert run(capsys, "sse-verify", "--input", str(path))[::2] == (2, message)
+        got, out, err = run(capsys, "conjugacy", "--input", str(path), "--format", "json")
+        assert (got, err) == (code, message)
+        assert out == ('{\n  "valid": false\n}\n' if code == 1 else "")
 
 
 class TestRn:

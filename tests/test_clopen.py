@@ -94,6 +94,28 @@ class TestBooleanOps:
         assert a.difference(b) == a.meet(b.complement())
         assert a.meet(b).leq(a) and a.leq(a.join(b))
 
+    def test_complement_against_difference_exhaustive(self):
+        # every 3-vertex graph, dense where it can be and with the full
+        # pattern: random sets at levels 0-2, canonical and raised
+        rng = random.Random(3)
+        for g in all_finite_graphs(3):
+            for family in ((), (ck.full_pattern(g),)):
+                try:
+                    model = ck.validate_model(g, family)
+                except ValidationError:
+                    continue
+                for level in (0, 1, 2):
+                    cl = random_clopen(model, rng, level)
+                    for a in (cl, ck.raise_level(cl, level + 1)):
+                        assert a.complement() == \
+                            ck.full_space(model, a.level).difference(a), (g.rows, family, a)
+
+    def test_complement_on_infinite_graph(self, ray):
+        u1 = ck.vertex_cylinder(ck.dense_model(ray), 1)
+        with pytest.raises(UnsupportedPresentationError,
+                           match="^the full space of an infinite graph is not a finite member list$"):
+            u1.complement()
+
     def test_model_mismatch(self, full2_model, golden_model):
         with pytest.raises(ValidationError, match="different models"):
             ck.full_space(full2_model).meet(ck.full_space(golden_model))

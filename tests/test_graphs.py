@@ -324,6 +324,14 @@ class TestBlockPatternsOnClasses:
         with pytest.raises(ValidationError, match="exceeds graph size 5"):
             ck.make_pattern(g, finite=(6,))
 
+    def test_pattern_rejects_bool_ids(self):
+        # True == 1, but neither a vertex nor a class id is a bool
+        g = ck.BlockPatternGraph((2, None), ((1, 1), (1, 1)))
+        with pytest.raises(ValidationError, match="^unknown class id True$"):
+            ck.make_pattern(g, classes=(True, 2))
+        with pytest.raises(ValidationError, match="^pattern vertices are positive integers, got True$"):
+            ck.make_pattern(g, finite=(True,))
+
     def test_huge_class_needs_no_matrix(self):
         g = ck.BlockPatternGraph((10 ** 9, 2), ((1, 1), (0, 1)))
         rep = ck.classify(g)

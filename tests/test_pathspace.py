@@ -7,8 +7,8 @@ import pytest
 import ckshift as ck
 from ckshift.errors import (DomainError, UnsupportedPresentationError,
                             ValidationError)
-from ckshift.graphs import all_finite_graphs
-from ckshift.pathspace import (admissible_words, fiber, full_point,
+from ckshift.graphs import all_finite_graphs, finite_form, walks
+from ckshift.pathspace import (SpectrumPoint, fiber, full_point,
                                strict_period_counts, truncated_point)
 from ckshift.sse import trace_powers
 
@@ -129,7 +129,7 @@ class TestSpectrum:
 
     def test_empty_family_lists_only_full_words(self, golden_model, golden_mean):
         sl = ck.spectrum_level(golden_model, 5)
-        assert sl.points == tuple(full_point(w) for w in admissible_words(golden_mean, 6))
+        assert sl.points == tuple(full_point(w) for w in brute_words(golden_mean, 6, (1, 2)))
 
     def test_deterministic_order(self, toeplitz_model):
         a = [p.render() for p in ck.spectrum_level(toeplitz_model, 3).points]
@@ -171,24 +171,143 @@ def brute_words(g, length, vertices):
             if all(g.edge(a, b) for a, b in zip(w, w[1:]))]
 
 
+def full_words(model, length, window=None):
+    """The admissible words of a length >= 1: the full points one level down."""
+    return [p.word for p in ck.spectrum_level(model, length - 1, window).points if p.is_full]
+
+
+def word_model(g):
+    """The dense model, or the full-pattern family where a row is zero."""
+    try:
+        return ck.dense_model(g)
+    except ValidationError:
+        return ck.validate_model(g, [ck.full_pattern(g)])
+
+
+def oracle_words(g, length, window=None):
+    """The former per-length enumeration: one walk for each word length."""
+    fin = finite_form(g)
+    if fin is not None:
+        starts = fin.vertices()
+
+        def extend(word):
+            return fin.succ[word[-1] - 1]
+    else:
+        starts = range(1, window + 1)
+
+        def extend(word):
+            return [j for j in starts if g.edge(word[-1], j)]
+    return [tuple(w) for w in walks(starts, extend, length) if len(w) == length]
+
+
+def spectrum_oracle(model, n, window=None):
+    """Reference for ``spectrum_level``: full words, then each shorter
+    length walked again and its layer sorted, then the empty-word points."""
+    g = model.graph
+    pts = [full_point(w) for w in oracle_words(g, n + 1, window)]
+    fam = model.boundary_sorted()
+    for r in range(n, 0, -1):
+        layer = [truncated_point(w, pat) for w in oracle_words(g, r, window)
+                 for pat in fam if pat.contains(w[-1], g)]
+        pts.extend(sorted(layer, key=SpectrumPoint.sort_key))
+    pts.extend(truncated_point((), pat) for pat in fam)
+    return tuple(pts)
+
+
+def random_families(g, rng, count=2):
+    """``count`` families of one to three random vertex subsets."""
+    vertices = list(g.vertices())
+    return [[ck.make_pattern(g, finite=[v for v in vertices if rng.random() < 0.5])
+             for _ in range(rng.randint(1, 3))] for _ in range(count)]
+
+
+def assert_matches_oracle(model, levels, window=None):
+    for n in levels:
+        pts = ck.spectrum_level(model, n, window).points
+        assert pts == spectrum_oracle(model, n, window), (model, n, window)
+        assert pts == tuple(sorted(pts, key=SpectrumPoint.sort_key)), (model, n, window)
+
+
 class TestAdmissibleWords:
     def test_finite_against_product_oracle(self):
         for size in (1, 2, 3):
             for g in all_finite_graphs(size):
-                for length in range(0, 5):
-                    assert list(admissible_words(g, length)) == \
+                model = word_model(g)
+                for length in range(1, 5):
+                    assert full_words(model, length) == \
                         brute_words(g, length, g.vertices()), (g.rows, length)
+                empty = [p for p in ck.spectrum_level(model, 2).points if not p.word]
+                assert empty == [truncated_point((), pat) for pat in model.boundary_sorted()]
 
     def test_windowed_against_product_oracle(self, ray, all_ones_infinite):
         g = ck.BlockPatternGraph((2, None), ((0, 1), (1, 1)))
         for graph in (ray, all_ones_infinite, g):
-            for length in range(0, 4):
-                assert list(admissible_words(graph, length, window=4)) == \
+            for length in range(1, 4):
+                assert full_words(ck.dense_model(graph), length, window=4) == \
                     brute_words(graph, length, range(1, 5))
 
     def test_finite_block_uses_its_matrix(self):
         g = ck.BlockPatternGraph((1, 2), ((0, 1), (1, 1)))
-        assert list(admissible_words(g, 3)) == brute_words(g, 3, range(1, 4))
+        assert full_words(ck.dense_model(g), 3) == brute_words(g, 3, range(1, 4))
+
+
+class TestOneWalkSpectrum:
+    """``spectrum_level`` against the former multi-pass enumeration."""
+
+    def test_every_small_finite_graph(self):
+        rng = random.Random(10)
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                for family in [[]] + random_families(g, rng):
+                    try:
+                        model = ck.validate_model(g, family)
+                    except ValidationError:  # a zero row outside every member
+                        model = ck.validate_model(g, family + [ck.full_pattern(g)])
+                    assert_matches_oracle(model, range(0, 5))
+
+    def test_windowed_block_and_banded(self, ray, all_ones_infinite):
+        mixed = ck.BlockPatternGraph((2, None), ((0, 1), (1, 1)))
+        banded = ck.BandedTailGraph(((0, 1, 0), (1, 0, 1), (0, 0, 1)), 3, (1, 2),
+                                    ((0, 0), (0, 1), (1, 1)))
+        models = [ck.dense_model(g) for g in (ray, all_ones_infinite, mixed, banded)]
+        models.append(ck.validate_model(mixed, ck.cluster_patterns(mixed) | {
+            ck.make_pattern(mixed, finite=(2,)), ck.make_pattern(mixed, classes=(2,))}))
+        models.append(ck.validate_model(banded, ck.cluster_patterns(banded) | {
+            ck.make_pattern(banded, finite=(1, 3)), ck.make_pattern(banded, finite=(5,))}))
+        for model in models:
+            for window in (0, 1, 2, 5):  # 1 and 2 lie below the banded cutoff
+                assert_matches_oracle(model, range(0, 4), window)
+
+    def test_window_rows_use_each_edge_once(self, monkeypatch):
+        g = ck.BandedTailGraph(((1, 1), (1, 0)), 2, (1, 3), ((0, 1), (1, 1)))
+        model = ck.validate_model(g, [ck.make_pattern(g), ck.make_pattern(g, finite=(2,))])
+        edge, asked = ck.BandedTailGraph.edge, []
+        monkeypatch.setattr(ck.BandedTailGraph, "edge",
+                            lambda self, i, j: asked.append((i, j)) or edge(self, i, j))
+        for window in (1, 4, 6):
+            asked.clear()
+            sl = ck.spectrum_level(model, 4, window)
+            assert len(asked) == len(set(asked)) <= window * window
+            assert set(asked) <= set(itertools.product(range(1, window + 1), repeat=2))
+            assert sl.points == spectrum_oracle(model, 4, window)
+
+    def test_fiber_and_tail_partition_come_sorted(self):
+        rng = random.Random(12)
+        for g in all_finite_graphs(2):
+            for family in random_families(g, rng):
+                try:
+                    model = ck.validate_model(g, family)
+                except ValidationError:
+                    continue
+                for n in range(0, 3):
+                    for q in ck.spectrum_level(model, n).points:
+                        got = fiber(model, q, n)
+                        assert got == tuple(sorted(got, key=SpectrumPoint.sort_key))
+                    for k in range(0, n + 1):
+                        classes = ck.tail_partition(model, k, n)
+                        want = sorted((sorted(c, key=SpectrumPoint.sort_key) for c in classes),
+                                      key=lambda c: c[0].sort_key())
+                        assert classes == want, (g.rows, family, n, k)
 
 
 class TestDeepOneVertexLoop:
@@ -351,13 +470,12 @@ class TestPeriodicPoints:
 
 def brute_freeness_scan(model, m0, n0, depth):
     """Oracle: literal cylinder-by-cylinder, extension-by-extension scan."""
-    g = ck.finite_form(model.graph)
     m0, n0 = min(m0, n0), max(m0, n0)
     d = n0 - m0
     full = depth + d
-    words = {length: list(admissible_words(g, length)) for length in (full,)}
+    words = {length: full_words(model, length) for length in (full,)}
     for length in range(1, depth + 1):
-        for gamma in admissible_words(g, length):
+        for gamma in full_words(model, length):
             exts = [w for w in words[full] if w[:length] == gamma]
             if not exts:
                 continue
