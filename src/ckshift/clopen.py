@@ -10,7 +10,6 @@ equality is structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import UnsupportedPresentationError, ValidationError
@@ -18,13 +17,16 @@ from .graphs import BlockPatternGraph, FiniteGraph, is_infinite, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, fiber,
                         full_point, point_valid_at, project_point,
                         spectrum_level, truncated_point, word_admissible)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ClopenSet:
-    model: MarkovModel
-    level: int
-    members: frozenset[SpectrumPoint]
+class ClopenSet(Value):
+    __slots__ = ("model", "level", "members")
+
+    def __init__(self, model: MarkovModel, level: int, members: frozenset[SpectrumPoint]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "members", members)
 
     @property
     def is_empty(self) -> bool:
@@ -236,11 +238,14 @@ CK4_FAILS = "fails"
 CK4_NOT_FINITELY_SUPPORTED = "not_finitely_supported"
 
 
-@dataclass(frozen=True)
-class Ck4Result:
-    status: str
-    witness: Optional[SpectrumPoint] = None
-    support: Optional[frozenset[int]] = None
+class Ck4Result(Value):
+    __slots__ = ("status", "witness", "support")
+
+    def __init__(self, status: str, witness: Optional[SpectrumPoint] = None,
+                 support: Optional[frozenset[int]] = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "support", support)
 
     @property
     def holds(self) -> bool:

@@ -21,7 +21,6 @@ is an input error like any other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError, short_repr
@@ -29,6 +28,7 @@ from .graphs import BandedTailGraph, BlockPatternGraph, FiniteGraph, GraphSpec
 from .intmat import Matrix, as_matrix
 from .pathspace import (BoundaryPattern, MarkovModel, cluster_patterns,
                         make_pattern, validate_model)
+from .value import Value
 
 
 def _fail(path: str, message: str) -> ValidationError:
@@ -139,12 +139,15 @@ def parse_matrix(value, path: str = "matrix") -> Matrix:
         raise _fail(path, str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class Certificate:
-    A: Matrix
-    B: Matrix
-    pairs: tuple[tuple[Matrix, Matrix], ...]
-    lag: Optional[int]  # None = strong chain certificate
+class Certificate(Value):
+    __slots__ = ("A", "B", "pairs", "lag")
+
+    def __init__(self, A: Matrix, B: Matrix, pairs: tuple[tuple[Matrix, Matrix], ...],
+                 lag: Optional[int]):  # lag None: a strong chain certificate
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "lag", lag)
 
     @property
     def is_chain(self) -> bool:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnsupportedPresentationError, ValidationError, short_repr
+from .value import Value
 
 
 def _check_01_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
@@ -41,8 +41,7 @@ def _check_01_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
+class FiniteGraph(Value):
     """Explicit 0/1 adjacency matrix on vertices 1..n.
 
     ``succ[i - 1]`` and ``pred[i - 1]`` hold the successors and the
@@ -51,12 +50,11 @@ class FiniteGraph:
     the tuples directly.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "succ", "pred")
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = _check_01_rows(self.rows, "rows")
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = _check_01_rows(rows, "rows")
         n = len(rows)
         if n == 0:
             raise ValidationError("rows must describe at least one vertex")
@@ -98,8 +96,7 @@ class FiniteGraph:
         return len(self.succ[i - 1])
 
 
-@dataclass(frozen=True)
-class BlockPatternGraph:
+class BlockPatternGraph(Value):
     """Vertices partitioned into contiguous classes; adjacency depends only
     on the (source class, target class) pair via ``block``.
 
@@ -111,15 +108,12 @@ class BlockPatternGraph:
     classes.
     """
 
-    class_sizes: tuple[Optional[int], ...]
-    block: tuple[tuple[int, ...], ...]
-    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    class_graph: FiniteGraph = field(init=False, repr=False, compare=False)
-    _finite: Optional[FiniteGraph] = field(default=None, init=False, repr=False,
-                                           compare=False)
+    __slots__ = ("class_sizes", "block", "starts", "class_graph", "_finite")
+    _fields = ("class_sizes", "block")
 
-    def __post_init__(self):
-        sizes = tuple(self.class_sizes)
+    def __init__(self, class_sizes: tuple[Optional[int], ...],
+                 block: tuple[tuple[int, ...], ...]):
+        sizes = tuple(class_sizes)
         if not sizes:
             raise ValidationError("block pattern needs at least one class")
         for k, card in enumerate(sizes):
@@ -132,7 +126,7 @@ class BlockPatternGraph:
                 raise ValidationError(
                     f"class {k+1} cardinality must be a positive integer or infinite, "
                     f"got {short_repr(card)}")
-        block = _check_01_rows(self.block, "block")
+        block = _check_01_rows(block, "block")
         if len(block) != len(sizes) or any(len(row) != len(sizes) for row in block):
             raise ValidationError(
                 f"block must be {len(sizes)}x{len(sizes)} to match the class list")
@@ -140,6 +134,7 @@ class BlockPatternGraph:
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "starts", tuple(itertools.accumulate(sizes[:-1], initial=1)))
         object.__setattr__(self, "class_graph", FiniteGraph(block))
+        object.__setattr__(self, "_finite", None)
 
     @property
     def num_classes(self) -> int:
@@ -196,39 +191,37 @@ class BlockPatternGraph:
         return self._finite
 
 
-@dataclass(frozen=True)
-class BandedTailGraph:
+class BandedTailGraph(Value):
     """Finite ``cutoff`` x ``cutoff`` prefix, then an infinite tail where
     ``i -> j`` iff ``j - i`` is one of the ``offsets``.  ``cross[i][k]``
     switches on the edge from prefix vertex ``i`` to ``i + offsets[k]``
     whenever that target lands in the tail.
     """
 
-    prefix: tuple[tuple[int, ...], ...]
-    cutoff: int
-    offsets: tuple[int, ...]
-    cross: tuple[tuple[int, ...], ...]
+    __slots__ = ("prefix", "cutoff", "offsets", "cross")
 
-    def __post_init__(self):
-        prefix = _check_01_rows(self.prefix, "prefix")
-        if len(prefix) != self.cutoff or any(len(r) != self.cutoff for r in prefix):
+    def __init__(self, prefix: tuple[tuple[int, ...], ...], cutoff: int,
+                 offsets: tuple[int, ...], cross: tuple[tuple[int, ...], ...]):
+        prefix = _check_01_rows(prefix, "prefix")
+        if len(prefix) != cutoff or any(len(r) != cutoff for r in prefix):
             raise ValidationError(
-                f"prefix must be {self.cutoff}x{self.cutoff} (cutoff={self.cutoff})")
-        offs = tuple(sorted(set(self.offsets)))
-        for o in offs:
+                f"prefix must be {cutoff}x{cutoff} (cutoff={cutoff})")
+        for o in offsets:
             if not isinstance(o, int) or isinstance(o, bool) or o < 1:
                 raise ValidationError(f"offsets must be positive integers, got {short_repr(o)}")
-        cross = _check_01_rows(self.cross, "cross")
-        if len(cross) != self.cutoff or any(len(r) != len(offs) for r in cross):
+        offs = tuple(sorted(set(offsets)))
+        cross = _check_01_rows(cross, "cross")
+        if len(cross) != cutoff or any(len(r) != len(offs) for r in cross):
             raise ValidationError(
-                f"cross must be {self.cutoff}x{len(offs)} (one column per offset)")
+                f"cross must be {cutoff}x{len(offs)} (one column per offset)")
         for i, row in enumerate(cross, start=1):
             for k, bit in enumerate(row):
-                if bit and i + offs[k] <= self.cutoff:
+                if bit and i + offs[k] <= cutoff:
                     raise ValidationError(
                         f"cross[{i}][{k+1}] couples {i} -> {i + offs[k]} inside the "
                         "prefix; prefix edges belong in the prefix matrix")
         object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "cross", cross)
 
@@ -308,14 +301,13 @@ def valid_vertex(g: GraphSpec, v) -> bool:
 # ---------------------------------------------------------------------------
 # Loops
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(Value):
     """A closed path (i_0, ..., i_n) with i_n = i_0 and n >= 1."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        w = tuple(self.vertices)
+    def __init__(self, vertices: tuple[int, ...]):
+        w = tuple(vertices)
         if len(w) < 2 or w[0] != w[-1]:
             raise ValidationError("a loop is a closed word (i_0,...,i_n=i_0) with n >= 1")
         object.__setattr__(self, "vertices", w)
@@ -333,10 +325,12 @@ class Loop:
         return len(set(self.base_word)) == self.length
 
 
-@dataclass(frozen=True)
-class LoopRecord:
-    loop: Loop
-    has_outgoing_edge: bool
+class LoopRecord(Value):
+    __slots__ = ("loop", "has_outgoing_edge")
+
+    def __init__(self, loop: Loop, has_outgoing_edge: bool):
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "has_outgoing_edge", has_outgoing_edge)
 
 
 def loop_has_outgoing_edge(g: GraphSpec, loop: Loop) -> bool:
@@ -465,10 +459,12 @@ def _functional_cycles(step: dict[int, int]) -> list[list[int]]:
     return cycles
 
 
-@dataclass(frozen=True)
-class ConditionLVerdict:
-    holds: bool
-    witness: Optional[Loop] = None
+class ConditionLVerdict(Value):
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: Optional[Loop] = None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -592,27 +588,35 @@ CRITERIA_FAILED = "criteria-failed"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    witness: object = None
-    reason: str = ""
+class Verdict(Value):
+    __slots__ = ("status", "witness", "reason")
+
+    def __init__(self, status: str, witness: object = None, reason: str = ""):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def met(self) -> bool:
         return self.status == CRITERIA_MET
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    no_zero_rows: bool
-    condition_l: ConditionLVerdict
-    irreducible: bool
-    irreducible_witness: Optional[tuple[int, int]]
-    every_vertex_reaches_loop: bool
-    loop_witness: Optional[int]
-    simple: Verdict
-    purely_infinite: Verdict
+class ClassificationReport(Value):
+    __slots__ = ("no_zero_rows", "condition_l", "irreducible", "irreducible_witness",
+                 "every_vertex_reaches_loop", "loop_witness", "simple", "purely_infinite")
+
+    def __init__(self, no_zero_rows: bool, condition_l: ConditionLVerdict, irreducible: bool,
+                 irreducible_witness: Optional[tuple[int, int]],
+                 every_vertex_reaches_loop: bool, loop_witness: Optional[int],
+                 simple: Verdict, purely_infinite: Verdict):
+        object.__setattr__(self, "no_zero_rows", no_zero_rows)
+        object.__setattr__(self, "condition_l", condition_l)
+        object.__setattr__(self, "irreducible", irreducible)
+        object.__setattr__(self, "irreducible_witness", irreducible_witness)
+        object.__setattr__(self, "every_vertex_reaches_loop", every_vertex_reaches_loop)
+        object.__setattr__(self, "loop_witness", loop_witness)
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "purely_infinite", purely_infinite)
 
 
 def classify(g: GraphSpec) -> ClassificationReport:

@@ -10,12 +10,12 @@ U @ M @ V equal to the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError, short_repr
+from .value import Value
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -201,12 +201,14 @@ def poly_eval(coeffs: Sequence[int], x: int) -> int:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass(frozen=True)
-class SmithForm:
-    factors: tuple[int, ...]
-    U: Matrix
-    V: Matrix
-    D: Matrix
+class SmithForm(Value):
+    __slots__ = ("factors", "U", "V", "D")
+
+    def __init__(self, factors: tuple[int, ...], U: Matrix, V: Matrix, D: Matrix):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "D", D)
 
 
 def smith_normal_form(m: Matrix) -> SmithForm:

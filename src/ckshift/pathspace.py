@@ -14,27 +14,31 @@ essential-freeness violations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
 from .graphs import (BandedTailGraph, BlockPatternGraph, FiniteGraph,
                      GraphSpec, Loop, _class_digraph, finite_form,
-                     loop_has_outgoing_edge, primitive_closed_walks,
-                     valid_vertex, vertex_count, walks)
+                     primitive_closed_walks, valid_vertex, vertex_count, walks)
+from .value import Value
 
 
 # ---------------------------------------------------------------------------
 # Boundary patterns
 
-@dataclass(frozen=True)
-class BoundaryPattern:
+class BoundaryPattern(Value):
     """A subset of the vertex set: finitely many explicit vertices plus,
     for block-pattern graphs, whole infinite classes.  Construct through
     :func:`make_pattern` so equal subsets get equal representations."""
 
-    finite: frozenset[int]
-    classes: frozenset[int]
+    __slots__ = ("finite", "classes")
+
+    def __init__(self, finite: frozenset[int], classes: frozenset[int]):
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "classes", classes)
+
+    def __hash__(self):  # written out: the clopen layer hashes points in its inner loops
+        return hash((self.finite, self.classes))
 
     @property
     def is_empty(self) -> bool:
@@ -117,20 +121,21 @@ def cluster_patterns(g: GraphSpec) -> frozenset[BoundaryPattern]:
 # ---------------------------------------------------------------------------
 # Models
 
-@dataclass(frozen=True)
-class MarkovModel:
+class MarkovModel(Value):
     """A graph together with a boundary family containing all its cluster
     patterns.  ``dense_domain`` records whether the family is exactly the
     cluster family; only then is the shift's domain dense in the space."""
 
-    graph: GraphSpec
-    boundary: frozenset[BoundaryPattern]
-    dense_domain: bool
-    _sorted: tuple[BoundaryPattern, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("graph", "boundary", "dense_domain", "_sorted")
+    _fields = ("graph", "boundary", "dense_domain")
 
-    def __post_init__(self):
+    def __init__(self, graph: GraphSpec, boundary: frozenset[BoundaryPattern],
+                 dense_domain: bool):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "dense_domain", dense_domain)
         object.__setattr__(self, "_sorted", tuple(
-            sorted(self.boundary, key=BoundaryPattern.sort_key)))
+            sorted(boundary, key=BoundaryPattern.sort_key)))
 
     def boundary_sorted(self) -> tuple[BoundaryPattern, ...]:
         """The family in ``sort_key`` order, sorted once at construction."""
@@ -191,15 +196,20 @@ def dense_model(g: GraphSpec) -> MarkovModel:
 # ---------------------------------------------------------------------------
 # Spectrum points
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(Value):
     """A member of a level spectrum: a full admissible word (``boundary``
     is None; at level n the word has length n+1) or a truncated point, a
     word of length <= n capped by a boundary set containing its last
     letter.  The level is carried by the enclosing enumeration."""
 
-    word: tuple[int, ...]
-    boundary: Optional[BoundaryPattern] = None
+    __slots__ = ("word", "boundary")
+
+    def __init__(self, word: tuple[int, ...], boundary: Optional[BoundaryPattern] = None):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "boundary", boundary)
+
+    def __hash__(self):  # written out: the clopen layer hashes points in its inner loops
+        return hash((self.word, self.boundary))
 
     @property
     def is_full(self) -> bool:
@@ -243,10 +253,12 @@ def word_admissible(g: GraphSpec, word: Sequence[int]) -> bool:
     return all(g.edge(a, b) for a, b in zip(word, word[1:]))
 
 
-@dataclass(frozen=True)
-class SpectrumSlice:
-    points: tuple[SpectrumPoint, ...]
-    partial: bool
+class SpectrumSlice(Value):
+    __slots__ = ("points", "partial")
+
+    def __init__(self, points: tuple[SpectrumPoint, ...], partial: bool):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "partial", partial)
 
 
 def spectrum_level(model: MarkovModel, n: int,
@@ -352,23 +364,29 @@ def shift_point(p, from_level: Optional[int] = None):
 # ---------------------------------------------------------------------------
 # Periodic points
 
-@dataclass(frozen=True)
-class PeriodicPointRecord:
+class PeriodicPointRecord(Value):
     """The eventually periodic path ``prefix . loop . loop ...``; the
     preperiod and period are minimal, so the record is the point."""
 
-    preperiod: int
-    period: int
-    prefix: tuple[int, ...]
-    loop: Loop
-    isolated: bool
+    __slots__ = ("preperiod", "period", "prefix", "loop", "isolated")
+
+    def __init__(self, preperiod: int, period: int, prefix: tuple[int, ...], loop: Loop,
+                 isolated: bool):
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "isolated", isolated)
 
 
-@dataclass(frozen=True)
-class PeriodicScan:
-    records: tuple[PeriodicPointRecord, ...]
-    max_period: int
-    max_preperiod: int
+class PeriodicScan(Value):
+    __slots__ = ("records", "max_period", "max_preperiod")
+
+    def __init__(self, records: tuple[PeriodicPointRecord, ...], max_period: int,
+                 max_preperiod: int):
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "max_period", max_period)
+        object.__setattr__(self, "max_preperiod", max_preperiod)
 
     def strict_count_dividing(self, k: int) -> int:
         """Number of strictly periodic points whose minimal period divides k."""
@@ -393,11 +411,13 @@ def periodic_points(model: MarkovModel, max_period: int,
         raise ValidationError("max_preperiod must be >= 0")
 
     records = []
+    # A closed walk has no exit iff each of its vertices has one successor.
+    forced = {v for v, out in enumerate(fin.succ, start=1) if len(out) == 1}
     # Distinct base points are distinct points of the shift, so rotations
     # of a closed walk are separate records.
     for base in primitive_closed_walks(fin, max_period):
         loop = Loop(base + (base[0],))
-        isolated = not loop_has_outgoing_edge(fin, loop)
+        isolated = forced.issuperset(base)
         records.append(PeriodicPointRecord(0, len(base), (), loop, isolated))
         # Preperiod words grow leftwards.  Minimality of the preperiod is
         # exactly "last prefix letter differs from the loop's last letter";
@@ -445,10 +465,12 @@ def strict_period_counts(g: GraphSpec, max_k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Essential freeness (bounded shadow)
 
-@dataclass(frozen=True)
-class FreenessScanResult:
-    violation_found: bool
-    witness: Optional[tuple[int, ...]] = None
+class FreenessScanResult(Value):
+    __slots__ = ("violation_found", "witness")
+
+    def __init__(self, violation_found: bool, witness: Optional[tuple[int, ...]] = None):
+        object.__setattr__(self, "violation_found", violation_found)
+        object.__setattr__(self, "witness", witness)
 
 
 def essential_freeness_scan(model: MarkovModel, m0: int, n0: int,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .clopen import (CK4_FAILS, CK4_NOT_FINITELY_SUPPORTED, ClopenSet,
@@ -25,16 +24,20 @@ from .errors import DomainError, UnsupportedPresentationError, ValidationError, 
 from .graphs import finite_form, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, spectrum_level,
                         truncated_point, word_admissible)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """S(alpha, h, beta): acts by  beta.x -> alpha.x  on x in h."""
 
-    model: MarkovModel
-    alpha: tuple[int, ...]
-    h: ClopenSet
-    beta: tuple[int, ...]
+    __slots__ = ("model", "alpha", "h", "beta")
+
+    def __init__(self, model: MarkovModel, alpha: tuple[int, ...], h: ClopenSet,
+                 beta: tuple[int, ...]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def is_zero(self) -> bool:
@@ -159,23 +162,22 @@ def projection_q(model: MarkovModel, i: int) -> Monomial:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(Value):
     """An injective partial map from level-``src_level`` points to
     level-``dst_level`` points, recorded exactly (no truncation)."""
 
-    src_level: int
-    dst_level: int
-    pairs: frozenset[tuple[SpectrumPoint, SpectrumPoint]]
+    __slots__ = ("src_level", "dst_level", "pairs")
 
-    def __post_init__(self):
-        srcs = {s for s, _ in self.pairs}
-        dsts = {d for _, d in self.pairs}
-        if len(srcs) != len(self.pairs) or len(dsts) != len(self.pairs):
+    def __init__(self, src_level: int, dst_level: int,
+                 pairs: frozenset[tuple[SpectrumPoint, SpectrumPoint]]):
+        srcs = {s for s, _ in pairs}
+        dsts = {d for _, d in pairs}
+        if len(srcs) != len(pairs) or len(dsts) != len(pairs):
             raise ValidationError("mapping is not a partial injection")
-        if not self.pairs:
-            # the empty map carries no target level of its own
-            object.__setattr__(self, "dst_level", self.src_level)
+        object.__setattr__(self, "src_level", src_level)
+        # the empty map carries no target level of its own
+        object.__setattr__(self, "dst_level", dst_level if pairs else src_level)
+        object.__setattr__(self, "pairs", pairs)
 
     def as_dict(self) -> dict[SpectrumPoint, SpectrumPoint]:
         return dict(self.pairs)
@@ -269,29 +271,39 @@ def parse_monomial(model: MarkovModel, text: str) -> Monomial:
 # ---------------------------------------------------------------------------
 # Cuntz-Krieger relations
 
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    passed: bool
-    witness: Optional[object] = None
+class RelationCheck(Value):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Optional[object] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class Ck4Failure:
-    E: tuple[int, ...]
-    F: tuple[int, ...]
-    witness: Optional[SpectrumPoint]
+class Ck4Failure(Value):
+    __slots__ = ("E", "F", "witness")
+
+    def __init__(self, E: tuple[int, ...], F: tuple[int, ...],
+                 witness: Optional[SpectrumPoint]):
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class CkReport:
-    ck1: RelationCheck
-    ck2: RelationCheck
-    ck3: RelationCheck
-    ck4_failed: int
-    ck4_first_failure: Optional[Ck4Failure]
-    ck4_checked: int
-    ck4_not_finitely_supported: int
+class CkReport(Value):
+    __slots__ = ("ck1", "ck2", "ck3", "ck4_failed", "ck4_first_failure", "ck4_checked",
+                 "ck4_not_finitely_supported")
+
+    def __init__(self, ck1: RelationCheck, ck2: RelationCheck, ck3: RelationCheck,
+                 ck4_failed: int, ck4_first_failure: Optional[Ck4Failure], ck4_checked: int,
+                 ck4_not_finitely_supported: int):
+        object.__setattr__(self, "ck1", ck1)
+        object.__setattr__(self, "ck2", ck2)
+        object.__setattr__(self, "ck3", ck3)
+        object.__setattr__(self, "ck4_failed", ck4_failed)
+        object.__setattr__(self, "ck4_first_failure", ck4_first_failure)
+        object.__setattr__(self, "ck4_checked", ck4_checked)
+        object.__setattr__(self, "ck4_not_finitely_supported", ck4_not_finitely_supported)
 
     @property
     def ck4_passed(self) -> bool:

@@ -8,7 +8,6 @@ automorphism.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
@@ -16,6 +15,7 @@ from .graphs import walks
 from .intmat import (Matrix, as_matrix, charpoly, det, identity, is_nonneg,
                      is_square, mat_mul, mat_pow, mat_sub, mat_vec, power_sums,
                      shape, smith_normal_form)
+from .value import Value
 
 
 def _check_nonneg(m: Matrix, name: str) -> None:
@@ -71,11 +71,14 @@ def verify_shift_equivalence(A: Matrix, B: Matrix, R: Matrix, S: Matrix,
 # ---------------------------------------------------------------------------
 # Invariants
 
-@dataclass(frozen=True)
-class BowenFranks:
+class BowenFranks(Value):
     """coker(I - A) presented by the invariant factors of I - A."""
-    factors: tuple[int, ...]
-    determinant: int
+
+    __slots__ = ("factors", "determinant")
+
+    def __init__(self, factors: tuple[int, ...], determinant: int):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "determinant", determinant)
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -105,11 +108,13 @@ def charpoly_nonzero_part(A: Matrix) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class InvariantComparison:
-    bf_factors_equal: bool
-    det_equal: bool
-    charpoly_equal: bool
+class InvariantComparison(Value):
+    __slots__ = ("bf_factors_equal", "det_equal", "charpoly_equal")
+
+    def __init__(self, bf_factors_equal: bool, det_equal: bool, charpoly_equal: bool):
+        object.__setattr__(self, "bf_factors_equal", bf_factors_equal)
+        object.__setattr__(self, "det_equal", det_equal)
+        object.__setattr__(self, "charpoly_equal", charpoly_equal)
 
     @property
     def all_equal(self) -> bool:
@@ -186,8 +191,7 @@ def _check_edge_path(edges: Container[Edge], path: Sequence[Edge]) -> None:
             raise ValidationError(f"edges {e} and {f} do not meet head-to-tail")
 
 
-@dataclass(frozen=True)
-class ConjugacyPair:
+class ConjugacyPair(Value):
     """An elementary pair (R, S) for A = RS, B = SR, with the canonical
     bijections: alpha matches each A-edge with a two-edge path through the
     bipartite R/S edges, beta does the same for B-edges.  Paths are
@@ -195,18 +199,19 @@ class ConjugacyPair:
     copy), pinning the choice the construction leaves free.  The inverse
     tables ``alpha_inv`` and ``beta_inv`` are built once, at construction."""
 
-    A: Matrix
-    B: Matrix
-    R: Matrix
-    S: Matrix
-    alpha: dict[Edge, tuple[Edge, Edge]]
-    beta: dict[Edge, tuple[Edge, Edge]]
-    alpha_inv: dict[tuple[Edge, Edge], Edge] = field(init=False, repr=False, compare=False)
-    beta_inv: dict[tuple[Edge, Edge], Edge] = field(init=False, repr=False, compare=False)
+    __slots__ = ("A", "B", "R", "S", "alpha", "beta", "alpha_inv", "beta_inv")
+    _fields = ("A", "B", "R", "S", "alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha_inv", {v: k for k, v in self.alpha.items()})
-        object.__setattr__(self, "beta_inv", {v: k for k, v in self.beta.items()})
+    def __init__(self, A: Matrix, B: Matrix, R: Matrix, S: Matrix,
+                 alpha: dict[Edge, tuple[Edge, Edge]], beta: dict[Edge, tuple[Edge, Edge]]):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha_inv", {v: k for k, v in alpha.items()})
+        object.__setattr__(self, "beta_inv", {v: k for k, v in beta.items()})
 
 
 def build_conjugacy(R: Matrix, S: Matrix, A: Matrix, B: Matrix) -> ConjugacyPair:
@@ -280,11 +285,13 @@ def edge_paths(M: Matrix, length: int) -> Iterable[tuple[Edge, ...]]:
 # ---------------------------------------------------------------------------
 # Dimension group
 
-@dataclass(frozen=True)
-class DimGroupElement:
-    matrix: Matrix
-    vector: tuple[int, ...]
-    level: int
+class DimGroupElement(Value):
+    __slots__ = ("matrix", "vector", "level")
+
+    def __init__(self, matrix: Matrix, vector: tuple[int, ...], level: int):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "level", level)
 
 
 POSITIVE = "positive"
@@ -292,10 +299,12 @@ NEGATIVE = "negative"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
-    status: str
-    power: Optional[int] = None
+class PositivityVerdict(Value):
+    __slots__ = ("status", "power")
+
+    def __init__(self, status: str, power: Optional[int] = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "power", power)
 
 
 class DimensionGroup:

@@ -601,24 +601,132 @@ def fuzz_matrix_inputs(draw, verb):
     return obj, args
 
 
-class TestMatrixVerbFuzz:
-    """Every input gets exit 0, 1 or 2 and a report or an error line;
-    no exception escapes a handler, not even as an internal-error line."""
+def run_fuzzed(verb, obj, args, tmp_path_factory):
+    """Run one fuzzed input in process; hypothesis cannot take the
+    function-scoped ``capsys``, so the streams are redirected here.  Every
+    input gets exit 0, 1 or 2 and a report or an error line; no exception
+    escapes a handler, not even as an internal-error line."""
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{verb}.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([verb, "--input", str(path), *args])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (obj, args, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue(), (obj, args, err.getvalue())
+    assert (code == 2) == bool(err.getvalue()), (obj, args, err.getvalue())
 
+
+class TestMatrixVerbFuzz:
     @pytest.mark.parametrize("verb", ("invariants", "sse-verify", "sse-search", "conjugacy"))
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_exit_code_and_no_traceback(self, verb, data, tmp_path_factory):
         obj, args = data.draw(fuzz_matrix_inputs(verb))
-        path = tmp_path_factory.getbasetemp() / f"fuzz-{verb}.json"
-        path.write_text(json.dumps(obj))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main([verb, "--input", str(path), *args])
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 1, 2), (obj, args, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        assert "internal error" not in err.getvalue(), (obj, args, err.getvalue())
-        assert (code == 2) == bool(err.getvalue()), (obj, args, err.getvalue())
+        run_fuzzed(verb, obj, args, tmp_path_factory)
+
+
+# ---------------------------------------------------------------------------
+# Malformed and well-formed inputs for the seven graph verbs.  Graphs keep
+# within 4 vertices (an infinite class aside), depth 3 and max-period 4.
+
+BAD_BITS = (2, -1, True, 1.0, "1", None, [1])
+BAD_COUNTS = (0, -1, True, 1.5, "2", None)
+
+
+def bit_rows(draw, rows, cols):
+    # ones are drawn twice as often as zeros, so that fewer models fail
+    # validation over a sink vertex
+    return [[draw(st.sampled_from((0, 1, 1))) for _ in range(cols)] for _ in range(rows)]
+
+
+def spoil_rows(draw, rows):
+    """A malformed variant of a 0/1 matrix: a bad entry, a missing or
+    ragged row, or no list at all."""
+    flaw = draw(st.sampled_from(("entry", "short", "ragged", "not-a-list")))
+    rows = [list(r) for r in rows]
+    if flaw == "entry" and rows and rows[0]:
+        rows[draw(st.integers(0, len(rows) - 1))][0] = draw(st.sampled_from(BAD_BITS))
+    elif flaw == "short":
+        rows = rows[:-1]
+    elif flaw == "ragged":
+        rows.append([1])
+    else:
+        rows = draw(st.sampled_from((1, "[[1]]", [1, 0], None)))
+    return rows
+
+
+@st.composite
+def fuzz_graphs(draw):
+    kind = draw(st.sampled_from(("finite", "block", "banded") * 3 + ("not-a-graph",)))
+    spoil = draw(st.integers(0, 3)) == 0
+    if kind == "finite":
+        n = draw(st.integers(1, 4))
+        rows = bit_rows(draw, n, n)
+        return {"type": "finite", "rows": spoil_rows(draw, rows) if spoil else rows}
+    if kind == "block":
+        k = draw(st.integers(1, 3))
+        cards: list = [draw(st.integers(1, 4 // k)) for _ in range(k)]
+        if draw(st.booleans()):
+            cards[-1] = "inf"
+        block = bit_rows(draw, k, k)
+        flaw = draw(st.sampled_from(("card", "inf-first", "block", "class"))) if spoil else None
+        if flaw == "card":
+            cards[draw(st.integers(0, k - 1))] = draw(st.sampled_from(BAD_COUNTS))
+        elif flaw == "inf-first":
+            cards = ["inf"] + cards
+        elif flaw == "block":
+            block = spoil_rows(draw, block)
+        classes = [{"card": c} for c in cards]
+        if flaw == "class":
+            classes = draw(st.sampled_from(([3], {"card": 1}, [{"size": 1}])))
+        return {"type": "block", "classes": classes, "block": block}
+    if kind == "banded":
+        cutoff = draw(st.integers(0, 2))
+        offsets = sorted(draw(st.sets(st.integers(1, 3), max_size=2)))
+        # a cross edge must land in the tail
+        cross = [[draw(st.integers(0, 1)) if i + o > cutoff else 0 for o in offsets]
+                 for i in range(1, cutoff + 1)]
+        graph = {"type": "banded", "prefix": bit_rows(draw, cutoff, cutoff),
+                 "cutoff": cutoff, "offsets": offsets, "cross": cross}
+        flaw = draw(st.sampled_from(("offset", "cutoff", "prefix", "cross"))) if spoil else None
+        if flaw == "offset":
+            graph["offsets"] = offsets + [draw(st.sampled_from(BAD_COUNTS + ([1], "a")))]
+        elif flaw == "cutoff":
+            graph["cutoff"] = draw(st.sampled_from(BAD_COUNTS[1:] + (cutoff + 1,)))
+        elif flaw in ("prefix", "cross"):
+            graph[flaw] = spoil_rows(draw, graph[flaw])
+        return graph
+    return draw(st.sampled_from(([[1]], "finite", None, {"type": "cyclic"}, {"rows": [[1]]})))
+
+
+@st.composite
+def fuzz_boundaries(draw):
+    if draw(st.integers(0, 2)):
+        return "auto"
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(('"all"', "{}", "[1]", "[{\"finite\": 1}]", "[")))
+    vertex = st.sampled_from((1, 2, 3, 4) * 3 + (5, 0, -1, True, "1"))
+    class_id = st.sampled_from((1, 2, 3, 0, True, False, "1"))
+    family = [{"finite": draw(st.lists(vertex, max_size=2)),
+               "classes": draw(st.lists(class_id, max_size=1))}
+              for _ in range(draw(st.integers(0, 2)))]
+    return json.dumps(family)
+
+
+class TestGraphVerbFuzz:
+    @pytest.mark.parametrize("verb", ("classify", "spectrum", "ck-verify",
+                                      "essential-freeness", "periodic", "jset", "rn"))
+    @settings(max_examples=100, deadline=None)
+    @given(graph=fuzz_graphs(), boundary=fuzz_boundaries(),
+           depth=st.sampled_from((-1, 0, 1, 2, 3, 3, 3)),  # essential-freeness needs 3
+           max_period=st.sampled_from((-1, 0, 1, 2, 3, 4)),
+           fmt=st.sampled_from(("text", "json")))
+    def test_exit_code_and_no_traceback(self, verb, graph, boundary, depth, max_period,
+                                        fmt, tmp_path_factory):
+        args = ["--boundary", boundary, "--depth", str(depth),
+                "--max-period", str(max_period), "--format", fmt]
+        run_fuzzed(verb, graph, args, tmp_path_factory)

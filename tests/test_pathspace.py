@@ -7,7 +7,7 @@ import pytest
 import ckshift as ck
 from ckshift.errors import (DomainError, UnsupportedPresentationError,
                             ValidationError)
-from ckshift.graphs import all_finite_graphs, finite_form, walks
+from ckshift.graphs import all_finite_graphs, finite_form, loop_has_outgoing_edge, walks
 from ckshift.pathspace import (SpectrumPoint, fiber, full_point,
                                strict_period_counts, truncated_point)
 from ckshift.sse import trace_powers
@@ -456,6 +456,13 @@ class TestPeriodicPoints:
             counts = strict_period_counts(g, 6)
             for k in range(1, 7):
                 assert scan.strict_count_dividing(k) == counts[k]
+
+    def test_isolated_matches_loop_exits(self):
+        # the out-degree table agrees with the letter-by-letter exit check
+        for g in all_finite_graphs(3):
+            scan = ck.periodic_points(ck.validate_model(g, [ck.full_pattern(g)]), 5, 0)
+            for r in scan.records:
+                assert r.isolated == (not loop_has_outgoing_edge(g, r.loop)), (g.rows, r)
 
     def test_preperiod_minimality(self, golden_model):
         scan = ck.periodic_points(golden_model, 1, 1)

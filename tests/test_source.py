@@ -1,7 +1,11 @@
 """Properties of the package source itself."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ckshift"
 
@@ -57,3 +61,19 @@ def test_traced_names_resolve():
             if not callable(owner):
                 missing.append(f"{layer}.{qualname}")
     assert missing == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # value types are slotted classes, so the cold start of every CLI call
+    # pays neither for `dataclasses` nor for the `inspect` module it loads
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+
+    def loaded(statement: str) -> set:
+        probe = f"{statement}; import json, sys; print(json.dumps(sorted(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        return set(json.loads(out))
+
+    added = loaded("import ckshift, ckshift.cli") - loaded("pass")
+    assert "ckshift.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
