@@ -34,6 +34,8 @@ def _read_json(path: str):
             return formats.loads(fh.read())
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _json(value, newline: str = "\n") -> str:

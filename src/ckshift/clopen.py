@@ -5,7 +5,10 @@ A clopen set stored at level n means the union of the projective-limit
 preimages of its members.  Raising the level replaces members by their
 fibers and never changes the set; the canonical form is the minimal level
 at which the set is expressible, with members kept as a frozenset, so set
-equality is structural equality.
+equality is structural equality.  ``make_clopen`` is the one validating
+constructor.  ``ClopenSet(...)`` trusts its members, and the operations
+here lower members built from valid ones unchecked, so they do not raise
+on a hand-built set of invalid points.
 """
 
 from __future__ import annotations
@@ -45,15 +48,15 @@ class ClopenSet(Value):
 
     def meet(self, other: "ClopenSet") -> "ClopenSet":
         a, b, n = self._pair(other)
-        return make_clopen(self.model, n, a & b)
+        return _canonical(self.model, n, a & b)
 
     def join(self, other: "ClopenSet") -> "ClopenSet":
         a, b, n = self._pair(other)
-        return make_clopen(self.model, n, a | b)
+        return _canonical(self.model, n, a | b)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         a, b, n = self._pair(other)
-        return make_clopen(self.model, n, a - b)
+        return _canonical(self.model, n, a - b)
 
     def leq(self, other: "ClopenSet") -> bool:
         a, b, _ = self._pair(other)
@@ -65,7 +68,7 @@ class ClopenSet(Value):
                 "the full space of an infinite graph is not a finite member list")
         rest = [p for p in spectrum_level(self.model, self.level).points
                 if p not in self.members]
-        return make_clopen(self.model, self.level, rest)
+        return _canonical(self.model, self.level, rest)
 
     def serialize(self) -> dict:
         return {"level": self.level,
@@ -74,12 +77,12 @@ class ClopenSet(Value):
 
 def _validate_members(model: MarkovModel, level: int,
                       members: Iterable[SpectrumPoint]) -> frozenset[SpectrumPoint]:
-    out = set()
+    members = tuple(members)
     for p in members:
         if not point_valid_at(p, level):
             raise ValidationError(
                 f"{p.render()} is not a level-{level} point")
-        if p.is_full and not word_admissible(model.graph, p.word):
+        if not word_admissible(model.graph, p.word):
             raise ValidationError(f"{p.render()} is not an admissible word")
         if not p.is_full:
             if p.boundary not in model.boundary:
@@ -88,8 +91,7 @@ def _validate_members(model: MarkovModel, level: int,
             if p.word and not p.boundary.contains(p.word[-1], model.graph):
                 raise ValidationError(
                     f"{p.render()} does not end inside its boundary set")
-        out.add(p)
-    return frozenset(out)
+    return frozenset(members)
 
 
 def _lower_once(model: MarkovModel, level: int,
@@ -109,19 +111,19 @@ def _lower_once(model: MarkovModel, level: int,
     return frozenset(images)
 
 
+def _canonical(model: MarkovModel, level: int,
+               members: Iterable[SpectrumPoint]) -> ClopenSet:
+    """The canonical set of valid level members: lowered to minimal level."""
+    mem = frozenset(members)
+    while (lowered := _lower_once(model, level, mem)) is not None:
+        mem, level = lowered, level - 1
+    return ClopenSet(model, level if mem else 0, mem)
+
+
 def make_clopen(model: MarkovModel, level: int,
                 members: Iterable[SpectrumPoint]) -> ClopenSet:
     """Canonical clopen set: validates members and lowers to minimal level."""
-    mem = _validate_members(model, level, members)
-    while True:
-        lowered = _lower_once(model, level, mem)
-        if lowered is None:
-            break
-        mem = lowered
-        level -= 1
-    if not mem:
-        level = 0
-    return ClopenSet(model, level, mem)
+    return _canonical(model, level, _validate_members(model, level, members))
 
 
 def members_at_level(cl: ClopenSet, n: int) -> frozenset[SpectrumPoint]:
@@ -160,7 +162,7 @@ def cylinder(model: MarkovModel, word: Sequence[int]) -> ClopenSet:
         return full_space(model)
     if not word_admissible(model.graph, word):
         return empty_clopen(model)
-    return make_clopen(model, len(word) - 1, [full_point(word)])
+    return _canonical(model, len(word) - 1, [full_point(word)])
 
 
 def vertex_cylinder(model: MarkovModel, i: int) -> ClopenSet:
@@ -181,7 +183,7 @@ def follower_set(model: MarkovModel, i: int) -> ClopenSet:
     for pat in model.boundary_sorted():
         if pat.contains(i, g):
             members.append(truncated_point((), pat))
-    return make_clopen(model, 0, members)
+    return _canonical(model, 0, members)
 
 
 def base_sets(model: MarkovModel, i: int) -> tuple[ClopenSet, ClopenSet]:
@@ -212,7 +214,7 @@ def prepend_word(word: Sequence[int], cl: ClopenSet) -> ClopenSet:
             if not p.boundary.contains(word[-1], g):
                 continue
         out.append(SpectrumPoint(word + p.word, p.boundary))
-    return make_clopen(model, cl.level + len(word), out)
+    return _canonical(model, cl.level + len(word), out)
 
 
 def strip_word(word: Sequence[int], cl: ClopenSet) -> ClopenSet:
@@ -227,7 +229,7 @@ def strip_word(word: Sequence[int], cl: ClopenSet) -> ClopenSet:
     for p in members:
         if len(p.word) >= len(word) and p.word[:len(word)] == word:
             out.append(SpectrumPoint(p.word[len(word):], p.boundary))
-    return make_clopen(model, base - len(word), out)
+    return _canonical(model, base - len(word), out)
 
 
 # ---------------------------------------------------------------------------

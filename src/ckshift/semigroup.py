@@ -3,12 +3,13 @@ injections on level spectra.
 
 A monomial (alpha, h, beta) is the partial bijection  beta.x -> alpha.x
 for x in the clopen set h, with h inside the follower sets of both words'
-last letters.  Products resolve by prefix comparison of the inner words,
-conflicting prefixes give the zero element, and every element normalizes
-to a unique form with minimal word lengths and canonical h.  The integer
-|alpha| - |beta| grades the semigroup.  Evaluation at a sufficiently deep
-level records the exact induced injection between spectrum members and is
-the independent oracle for normal-form equality.
+last letters: ``normalize`` meets h with both where it starts, and every
+other constructor keeps it.  Products resolve by prefix comparison of the
+inner words, conflicting prefixes give the zero element, and every element
+normalizes to a unique form with minimal word lengths and canonical h.
+The integer |alpha| - |beta| grades the semigroup.  Evaluation at a
+sufficiently deep level records the exact induced injection between
+spectrum members and is the independent oracle for normal-form equality.
 """
 
 from __future__ import annotations
@@ -59,15 +60,6 @@ def identity(model: MarkovModel) -> Monomial:
     return Monomial(model, (), full_space(model), ())
 
 
-def _constrained(model: MarkovModel, alpha: tuple[int, ...], h: ClopenSet,
-                 beta: tuple[int, ...]) -> ClopenSet:
-    """Intersect h with the follower sets of the words' last letters."""
-    for word in (alpha, beta):
-        if word:
-            h = h.meet(follower_set(model, word[-1]))
-    return h
-
-
 def make_monomial(model: MarkovModel, alpha: Sequence[int], h: ClopenSet,
                   beta: Sequence[int]) -> Monomial:
     """Validate and normalize a raw triple."""
@@ -77,7 +69,7 @@ def make_monomial(model: MarkovModel, alpha: Sequence[int], h: ClopenSet,
             raise ValidationError(f"word {word} is not admissible")
     if h.model != model:
         raise ValidationError("the support set belongs to a different model")
-    return normalize(Monomial(model, alpha, _constrained(model, alpha, h, beta), beta))
+    return normalize(Monomial(model, alpha, h, beta))
 
 
 def generator(model: MarkovModel, i: int) -> Monomial:
@@ -92,15 +84,18 @@ def adjoint(a: Monomial) -> Monomial:
 
 
 def normalize(a: Monomial) -> Monomial:
-    """The unique minimal form: strip shared last letters (transporting h
-    by prepending the stripped letter) and canonicalize h; an empty
-    support collapses to the zero element.  Idempotent."""
-    h = _constrained(a.model, a.alpha, a.h, a.beta)
-    alpha, beta = a.alpha, a.beta
+    """The unique minimal form: meet h with the last letters' follower
+    sets, strip shared last letters (transporting h by prepending the
+    stripped letter, which the new last letters have an edge to) and
+    canonicalize h; an empty support collapses to zero.  Idempotent."""
+    alpha, beta, h = a.alpha, a.beta, a.h
+    for word in (alpha, beta):
+        if word:
+            h = h.meet(follower_set(a.model, word[-1]))
     while alpha and beta and alpha[-1] == beta[-1] and not h.is_empty:
         letter = alpha[-1]
         alpha, beta = alpha[:-1], beta[:-1]
-        h = _constrained(a.model, alpha, prepend_word((letter,), h), beta)
+        h = prepend_word((letter,), h)
     if h.is_empty:
         return zero(a.model)
     return Monomial(a.model, alpha, h, beta)
@@ -108,7 +103,10 @@ def normalize(a: Monomial) -> Monomial:
 
 def compose(a: Monomial, b: Monomial, normalized: bool = True) -> Monomial:
     """The product ab (b acts first).  The inner words a.beta and b.alpha
-    must be prefix-comparable; otherwise the product is zero."""
+    must be prefix-comparable; otherwise the product is zero.  Its h
+    already lies in the follower sets: if b.alpha = a.beta + u, a point x
+    of ``strip_word(u, a.h)`` has u.x valid, so x is in V(u[-1]) (x is in
+    a.h if u is empty), and h is in b.h; the other case is symmetric."""
     if a.model != b.model:
         raise ValidationError("monomials belong to different models")
     if a.is_zero or b.is_zero:
@@ -128,7 +126,7 @@ def compose(a: Monomial, b: Monomial, normalized: bool = True) -> Monomial:
         return zero(a.model)
     if h.is_empty:
         return zero(a.model)
-    out = Monomial(a.model, alpha, _constrained(a.model, alpha, h, beta), beta)
+    out = Monomial(a.model, alpha, h, beta)
     return normalize(out) if normalized else out
 
 

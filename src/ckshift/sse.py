@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Container, Iterable, Optional, Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, short_repr
 from .graphs import walks
 from .intmat import (Matrix, as_matrix, charpoly, det, identity, is_nonneg,
                      is_square, mat_mul, mat_pow, mat_sub, mat_vec, power_sums,
@@ -323,7 +323,11 @@ class DimensionGroup:
         self.dim = len(A)
 
     def element(self, vector: Sequence[int], level: int = 0) -> DimGroupElement:
-        vector = tuple(int(x) for x in vector)
+        vector = tuple(vector)
+        for x in (*vector, level):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValidationError(
+                    f"vector entries and levels must be integers, got {short_repr(x)}")
         if len(vector) != self.dim:
             raise ValidationError(f"vector length {len(vector)} != dimension {self.dim}")
         if level < 0:

@@ -365,6 +365,13 @@ class TestContract:
         code, _, err = run(capsys, "classify", "--input", "/nonexistent.json")
         assert code == 2 and "cannot read" in err
 
+    def test_undecodable_file_is_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"type":"finite","rows":[[1]],"note":"\xe9"}')
+        code, out, err = run(capsys, "classify", "--input", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode")
+
     def test_wrong_shape_inputs_are_2(self, tmp_path, capsys):
         p = tmp_path / "x.json"
         p.write_text("[1, 2, 3]")

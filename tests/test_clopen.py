@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,38 @@ class TestLevels:
         u1 = ck.vertex_cylinder(full2_model, 1)
         with pytest.raises(ValidationError):
             members_at_level(ck.raise_level(u1, 2), 1)
+
+
+class TestMakeClopen:
+    """``make_clopen`` is the one constructor that checks its members."""
+
+    @staticmethod
+    def golden(*family):
+        g = ck.FiniteGraph(((1, 1), (1, 0)))
+        return ck.validate_model(g, [ck.make_pattern(g, finite=J) for J in family])
+
+    def test_rejects_inadmissible_truncated_word(self):
+        model = self.golden((1, 2))
+        (pat,) = model.boundary
+        with pytest.raises(ValidationError, match=r"^2,2;\{1,2\} is not an admissible word$"):
+            make_clopen(model, 3, [truncated_point((2, 2), pat)])
+        assert make_clopen(model, 3, [truncated_point((1, 2), pat)]).leq(
+            ck.full_space(model, 3))
+
+    @pytest.mark.parametrize("family, level, word, cap, message", [
+        ((1, 2), 0, (1, 2), None, "1,2 is not a level-0 point"),
+        ((1, 2), 1, (2, 2), None, "2,2 is not an admissible word"),
+        ((1, 2), 1, (0, 1), None, "0,1 is not an admissible word"),
+        ((1, 2), 1, (1,), (1,), "1;{1} caps with a set outside the boundary family"),
+        ((1,), 1, (2,), (1,), "2;{1} does not end inside its boundary set"),
+    ])
+    def test_rejects_invalid_member(self, family, level, word, cap, message):
+        model = self.golden(family)
+        g = model.graph
+        point = full_point(word) if cap is None else \
+            truncated_point(word, ck.make_pattern(g, finite=cap))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_clopen(model, level, [point])
 
 
 class TestWordSurgery:

@@ -224,18 +224,20 @@ class TestNormalFormOracle:
                 same_eval = ck.evaluate(raw_a, n) == ck.evaluate(raw_b, n)
                 assert same_eval == (na == nb)
 
-    def test_closure_single_monomial(self, golden_model):
-        # every product of generators and adjoints is again a monomial
+    def test_closure_single_monomial(self, golden_model, toeplitz_model):
+        # every product of generators and adjoints is again a monomial, and
+        # both the raw product and its normal form keep h inside the follower
+        # sets of the words' last letters, which compose never re-imposes
         rng = random.Random(6)
-        for _ in range(50):
-            m, _ = random_word_monomial(golden_model, rng)
-            assert isinstance(m, Monomial)
-            if not m.is_zero:
-                last_a = m.alpha[-1] if m.alpha else None
-                last_b = m.beta[-1] if m.beta else None
-                for last in (last_a, last_b):
-                    if last is not None:
-                        assert m.h.leq(ck.follower_set(golden_model, last))
+        for model, normalized in itertools.product((golden_model, toeplitz_model),
+                                                   (True, False)):
+            for _ in range(50):
+                m, _ = random_word_monomial(model, rng, normalized=normalized)
+                assert isinstance(m, Monomial)
+                for form in (m, ck.normalize(m)):
+                    for word in (form.alpha, form.beta):
+                        if word:
+                            assert form.h.leq(ck.follower_set(model, word[-1])), form
 
 
 class TestSemigroupLaws:

@@ -313,6 +313,15 @@ class TestDimensionGroup:
         assert dg.equal(x, y)
         assert dg.equal(dg.tau(x), dg.tau(y))
 
+    @pytest.mark.parametrize("vector, level", [((1.7, True), 0), (("3", 1), 0),
+                                               ((True, 0), 0), ((1, 2), 1.5),
+                                               ((1, 2), True), ((1, 2), "1")])
+    def test_element_rejects_non_integers(self, vector, level):
+        dg = DimensionGroup(GOLDEN)
+        with pytest.raises(ValidationError, match="must be integers"):
+            dg.element(vector, level)
+        assert dg.element((1, 2), 1).vector == (1, 2)
+
     def test_neg_gives_inverse(self):
         dg = DimensionGroup(GOLDEN)
         x = dg.element((4, -7), 2)
