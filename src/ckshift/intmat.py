@@ -1,17 +1,18 @@
 """Exact arbitrary-precision integer matrix arithmetic.
 
 Matrices are tuples of tuples of Python ints.  Everything here is exact:
-determinants are fraction-free, the power sums tr A^k come from half the
-matrix powers and the recurrence of the characteristic polynomial, whose
-coefficients follow from them by Newton's identities with integral
-divisions, and the Smith normal form returns unimodular transforms with
-U @ M @ V equal to the diagonal.
+determinants are fraction-free, the power sums tr A^k come from matrix
+powers kept as row-packed integers (Kronecker substitution) and from the
+recurrence of the characteristic polynomial, whose coefficients follow
+from them by Newton's identities with integral divisions, and the Smith
+normal form returns unimodular transforms with U @ M @ V equal to the
+diagonal.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import mul
+from operator import lshift, mul, rshift
 from typing import Sequence
 
 from .errors import ValidationError, short_repr
@@ -41,7 +42,16 @@ def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
 
 
 def shape(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]))
+    """(rows, columns); an empty or ragged matrix raises ValidationError,
+    worded as in :func:`as_matrix`."""
+    width = len(m[0]) if m else 0
+    for row in m:  # a plain loop: no allocation, cheap on the 2x2 products
+        if len(row) != width:
+            r = next(r for r, row in enumerate(m) if len(row) != width)
+            raise ValidationError(f"ragged matrix: row {r+1} has {len(m[r])} entries, expected {width}")
+    if not width:
+        raise ValidationError("matrix must have at least one row and one column")
+    return (len(m), width)
 
 
 def is_square(m: Matrix) -> bool:
@@ -138,28 +148,40 @@ def det(a: Matrix) -> int:
 def power_sums(a: Matrix, m: int) -> list[int]:
     """[0, tr A, tr A^2, ..., tr A^m] ([] when m < 0).
 
-    Only A^1..A^h with h = ceil(min(m, n)/2) are formed: tr A^(h+j) is the
-    Frobenius product of A^h with the transpose of A^j, the sum over r of
-    <row r of A^h, column r of A^j>.  Past the size n, the sums follow the
-    recurrence p_k = -(c_1 p_(k-1) + ... + c_n p_(k-n)) of the
-    characteristic polynomial x^n + c_1 x^(n-1) + ... + c_n."""
+    A^1..A^top with top = min(m, n) are formed by Kronecker substitution:
+    row i of A^k is kept as one integer, the sum over j of
+    (A^k)[i][j] * 2^(w*j), so A^k = A @ A^(k-1) costs one multiply-
+    accumulate over the packed rows per row.  Every entry of A^k and every
+    trace for k <= top is below n^top * M^top < 2^(w-2) in absolute value
+    (M the largest |entry|), so each w-bit slot holds its signed value
+    exactly, and tr A^k is read from the slots without unpacking.  Past
+    the size n, the sums follow the recurrence
+    p_k = -(c_1 p_(k-1) + ... + c_n p_(k-n)) of the characteristic
+    polynomial x^n + c_1 x^(n-1) + ... + c_n."""
     if not is_square(a):
         raise ValidationError("power sums need a square matrix")
     n = len(a)
     top = min(m, n)
     out = [0] * (m + 1)
-    if top < 1:
+    big = max(map(abs, chain.from_iterable(a)))
+    if top < 1 or not big:
         return out
-    half = (top + 1) // 2
-    powers = [a]
-    for _ in range(1, half):
-        powers.append(mat_mul(powers[-1], a))
-    for k, p in enumerate(powers, 1):
-        out[k] = trace(p)
-    rows = tuple(chain.from_iterable(powers[-1]))
-    for k in range(half + 1, top + 1):
-        cols = chain.from_iterable(zip(*powers[k - half - 1]))
-        out[k] = sum(map(mul, rows, cols))
+    w = ((n * big) ** top).bit_length() + 2
+    shifts = range(0, w * n, w)
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    bias = half * (((1 << w * n) - 1) // mask)  # 2^(w-1) in every slot
+    excess = (n - 1) * half
+    rows = [sum(map(lshift, row, shifts)) for row in a]
+    for k in range(1, top + 1):
+        if k > 1:
+            rows = [sum(map(mul, a_row, rows)) for a_row in a]
+        # the biased slots (A^k)[i][j] + 2^(w-1) lie in [0, 2^w), so the
+        # biased row i shifted right by w*i has (A^k)[i][i] + 2^(w-1) in
+        # its low slot and no borrow from below; modulo 2^w these sum to
+        # tr A^k + n * 2^(w-1), and tr A^k + 2^(w-1) lies in [0, 2^w)
+        t = sum(map(rshift, map(bias.__add__, rows), shifts))
+        out[k] = ((t - excess) & mask) - half
     if m > n:
         c = _newton(out, n)[1:]
         for k in range(n + 1, m + 1):

@@ -323,7 +323,11 @@ class DimensionGroup:
         self.dim = len(A)
 
     def element(self, vector: Sequence[int], level: int = 0) -> DimGroupElement:
-        vector = tuple(vector)
+        try:
+            vector = tuple(vector)
+        except TypeError:
+            raise ValidationError(
+                f"the vector must be a sequence of integers, got {short_repr(vector)}") from None
         for x in (*vector, level):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValidationError(

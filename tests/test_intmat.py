@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckshift as ck
 import ckshift.intmat as im
 from ckshift.errors import ValidationError
 
@@ -37,6 +39,19 @@ class TestBasics:
             im.as_matrix([[1.5]])
         with pytest.raises(ValidationError):
             im.as_matrix([])
+
+    @pytest.mark.parametrize("bad", (((1, 2), (3,)), ((1,), (2, 3)), ((), (1,)), (), ((),), ((), ())))
+    def test_kernels_reject_ragged_or_empty(self, bad):
+        with pytest.raises(ValidationError) as wording:
+            im.as_matrix(bad)
+        message = f"^{re.escape(str(wording.value))}$"
+        kernels = (lambda m: im.mat_mul(m, im.identity(2)),
+                   lambda m: im.mat_mul(((1,),), m),
+                   im.det, im.smith_normal_form, im.charpoly,
+                   lambda m: im.power_sums(m, 3), lambda m: ck.trace_powers(m, 3))
+        for kernel in kernels:
+            with pytest.raises(ValidationError, match=message):
+                kernel(bad)
 
     def test_mul_identity(self):
         rng = random.Random(0)

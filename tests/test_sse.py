@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ckshift as ck
 from ckshift.errors import DomainError, ValidationError
-from ckshift.intmat import det, identity, mat_mul, mat_pow, mat_sub, trace
+from ckshift.intmat import det, identity, mat_mul, mat_pow, mat_sub, power_sums, trace
 from ckshift.sse import (DimensionGroup, edge_paths, edge_set, validate_edge_path,
                          verify_strong_chain)
 
@@ -322,6 +322,12 @@ class TestDimensionGroup:
             dg.element(vector, level)
         assert dg.element((1, 2), 1).vector == (1, 2)
 
+    @pytest.mark.parametrize("vector", (5, None, 1.5))
+    def test_element_rejects_a_non_sequence(self, vector):
+        dg = DimensionGroup(GOLDEN)
+        with pytest.raises(ValidationError, match="^the vector must be a sequence of integers, got "):
+            dg.element(vector)
+
     def test_neg_gives_inverse(self):
         dg = DimensionGroup(GOLDEN)
         x = dg.element((4, -7), 2)
@@ -356,6 +362,39 @@ class TestTracePowers:
                   for _ in range(n))
         for k in range(-1, 2 * n + 3):
             assert ck.trace_powers(A, k) == trace_powers_oracle(A, k), k
+
+    @pytest.mark.parametrize("big", (1, 7, 2**64))
+    def test_worst_case_slot(self, big):
+        # every entry of the all-M matrix attains the packing bound: A^k is
+        # n^(k-1) M^k in every entry and tr A^k = n^k M^k, for either sign
+        for n in range(1, 13):
+            for entry in (big, -big):
+                A = ((entry,) * n,) * n
+                want = trace_powers_oracle(A, 2 * n + 3)
+                assert want[1:] == [(n * entry) ** k for k in range(1, 2 * n + 4)]
+                for k in range(-1, 2 * n + 4):
+                    assert power_sums(A, k) == want[:k + 1], (n, entry, k)
+
+    def test_mixed_sign_matrices(self):
+        rng = random.Random(23)
+        for n in (*range(1, 11), 13, 17, 24):
+            # the oracle's products of 100-bit entries cost seconds past n = 13
+            for bound in (1, 9, 2**100) if n <= 13 else (1, 9):
+                A = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
+                          for _ in range(n))
+                want = trace_powers_oracle(A, 2 * n + 3)
+                for k in range(-1, 2 * n + 4):
+                    assert power_sums(A, k) == want[:k + 1], (A, k)
+
+    def test_zero_and_one_by_one(self):
+        for n in range(1, 6):
+            Z = ((0,) * n,) * n
+            for k in range(-1, 2 * n + 4):
+                assert power_sums(Z, k) == [0] * (k + 1)
+        for a in (-2**70, -3, -1, 0, 1, 2, 5, 2**70):
+            assert power_sums(((a,),), -1) == []
+            for k in range(6):
+                assert power_sums(((a,),), k) == [0] + [a**j for j in range(1, k + 1)]
 
     def test_edge_cases(self):
         assert ck.trace_powers(GOLDEN, 0) == [0]
