@@ -8,7 +8,9 @@ at which the set is expressible, with members kept as a frozenset, so set
 equality is structural equality.  ``make_clopen`` is the one validating
 constructor.  ``ClopenSet(...)`` trusts its members, and the operations
 here lower members built from valid ones unchecked, so they do not raise
-on a hand-built set of invalid points.
+on a hand-built set of invalid points.  Nothing here looks inside a graph
+presentation: the graph is read through its edges and successors, and
+the CK4 support comes from ``graphs.ck4_support``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import UnsupportedPresentationError, ValidationError
-from .graphs import BlockPatternGraph, FiniteGraph, is_infinite, valid_vertex
+from .graphs import ck4_support, is_infinite, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, fiber,
                         full_point, point_valid_at, project_point,
                         spectrum_level, truncated_point, word_admissible)
@@ -254,41 +256,6 @@ class Ck4Result(Value):
         return self.status == CK4_HOLDS
 
 
-def _support(model: MarkovModel, E: frozenset[int], F: frozenset[int]) -> Optional[frozenset[int]]:
-    """{i : A(j,i)=1 for j in E and A(k,i)=0 for k in F}, or None if the
-    set is infinite."""
-    g = model.graph
-    if isinstance(g, FiniteGraph):
-        support = set(g.vertices())
-        for j in E:
-            support.intersection_update(g.successors(j))  # checks the vertex
-        for k in F:
-            support.difference_update(g.successors(k))
-        return frozenset(support)
-    if isinstance(g, BlockPatternGraph):
-        sources = {g.class_of(j) for j in E}
-        blocked = {g.class_of(k) for k in F}
-        verts: set[int] = set()
-        for c in range(1, g.num_classes + 1):
-            if not all(g.block[s - 1][c - 1] for s in sources) or \
-                    any(g.block[b - 1][c - 1] for b in blocked):
-                continue
-            card = g.class_sizes[c - 1]
-            if card is None:
-                return None
-            start = g.class_start(c)
-            verts.update(range(start, start + card))
-        return frozenset(verts)
-    # banded tail: rows are finite, so a nonempty E forces a finite support
-    for v in (*E, *F):
-        if not valid_vertex(g, v):
-            raise ValidationError(f"unknown vertex {v}")
-    if not E:
-        return None  # complement constraints alone leave a cofinite set
-    candidates = set.intersection(*(set(g.successors(j)) for j in E))
-    return frozenset(i for i in candidates if not any(g.edge(k, i) for k in F))
-
-
 def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int]) -> Ck4Result:
     """Compare the Boolean combination  /\\_E V_j  /\\_F V_k^c  with the
     union of the U_i over the support {i : A(E,F,i) = 1}.  When the support
@@ -302,8 +269,8 @@ def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int]) -> Ck4R
     where the two sets differ.  The tests compare it with the explicit
     clopen computation.
     """
-    E, F = frozenset(E), frozenset(F)
-    support = _support(model, E, F)
+    E, F = tuple(E), tuple(F)  # not sets: True would merge into vertex 1 unchecked
+    support = ck4_support(model.graph, E, F)
     if support is None:
         return Ck4Result(CK4_NOT_FINITELY_SUPPORTED)
     g = model.graph

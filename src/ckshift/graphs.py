@@ -10,12 +10,15 @@ with finitely many coupling edges from the prefix into the tail.
 
 Vertices are 1-based integers.  ``A(i, j) = 1`` permits the transition
 ``i -> j``; a path is a vertex word whose consecutive pairs are edges.
-Finite graphs and block patterns share one code path: each presentation
-is decided on its class digraph (``_class_digraph``), where a finite graph
-is its own class digraph of singleton classes and a block pattern's class
-digraph is ``block``, compiled once at construction.  Banded tails are
-decided by tail analysis; no predicate scans vertices.  Words are
-enumerated by one explicit-stack generator, ``walks``.
+Every structural question the other layers ask about a graph is answered
+here: the predicates, the zero rows (``zero_rows``) and the CK4 support
+(``ck4_support``).  Finite graphs and block patterns share one code path:
+each presentation is decided on its class digraph (``_class_digraph``),
+where a finite graph is its own class digraph of singleton classes and a
+block pattern's class digraph is ``block``, compiled once at
+construction.  Banded tails are decided by tail analysis; no predicate
+scans vertices.  Words are enumerated by one explicit-stack generator,
+``walks``.
 """
 
 from __future__ import annotations
@@ -427,15 +430,50 @@ def _class_digraph(g: Union[FiniteGraph, BlockPatternGraph]) -> tuple[
     return g.class_graph, g.starts, g.class_sizes
 
 
+def zero_rows(g: GraphSpec) -> list[tuple[int, Optional[int]]]:
+    """The vertices without an outgoing edge, as runs ``(first vertex,
+    length)`` in increasing order, the length ``None`` for an infinite run.
+    A run is one class of the class digraph, or one prefix vertex or the
+    whole tail of a banded tail."""
+    if isinstance(g, BandedTailGraph):
+        runs: list[tuple[int, Optional[int]]] = [
+            (i, 1) for i in range(1, g.cutoff + 1) if not g.successors(i)]
+        if not g.offsets:
+            runs.append((g.cutoff + 1, None))  # every tail vertex has an empty row
+        return runs
+    h, first, sizes = _class_digraph(g)
+    return [(first[c], sizes[c]) for c, out in enumerate(h.succ) if not out]
+
+
 def has_no_zero_rows(g: GraphSpec) -> bool:
     """Every vertex has at least one outgoing edge."""
-    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
-        return all(_class_digraph(g)[0].succ)
+    return not zero_rows(g)
+
+
+def ck4_support(g: GraphSpec, E: Sequence[int], F: Sequence[int]) -> Optional[frozenset[int]]:
+    """{i : A(j,i)=1 for j in E and A(k,i)=0 for k in F}, or None when the
+    set is infinite.  Every vertex of E and F is checked before any row is
+    read."""
+    for v in (*E, *F):
+        if not valid_vertex(g, v):
+            raise ValidationError(f"unknown vertex {short_repr(v)}: outside the vertex set")
     if isinstance(g, BandedTailGraph):
-        if not g.offsets:
-            return False  # every tail vertex has an empty row
-        return all(g.out_degree(i) > 0 for i in range(1, g.cutoff + 1))
-    raise ValidationError(f"unknown graph presentation {type(g).__name__}")
+        # rows are finite, so a nonempty E forces a finite support
+        if not E:
+            return None  # complement constraints alone leave a cofinite set
+        candidates = set.intersection(*(set(g.successors(j)) for j in E))
+        return frozenset(i for i in candidates if not any(g.edge(k, i) for k in F))
+    # adjacency depends only on the classes, so the support is a union of classes
+    h, first, sizes = _class_digraph(g)
+    sources = {bisect.bisect_right(first, j) for j in E}
+    blocked = {bisect.bisect_right(first, k) for k in F}
+    support: set[int] = set()
+    for c, into in enumerate(h.pred):
+        if sources.issubset(into) and blocked.isdisjoint(into):
+            if sizes[c] is None:
+                return None
+            support.update(range(first[c], first[c] + sizes[c]))
+    return frozenset(support)
 
 
 def _functional_cycles(step: dict[int, int]) -> list[list[int]]:

@@ -8,7 +8,9 @@ by a boundary set by decreasing length, then the empty-word boundary
 points, all from one walk.  This module computes the boundary family of
 column cluster patterns, validates models, enumerates levels, applies the
 shift and the level projections, and scans for periodic points and
-essential-freeness violations.
+essential-freeness violations.  Model validation asks ``graphs`` for the
+zero rows and checks them against the family, whatever the presentation;
+words and preperiod prefixes come from ``graphs.walks``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
 from .graphs import (BandedTailGraph, BlockPatternGraph, FiniteGraph,
                      GraphSpec, Loop, _class_digraph, finite_form,
-                     primitive_closed_walks, valid_vertex, vertex_count, walks)
+                     primitive_closed_walks, valid_vertex, vertex_count, walks,
+                     zero_rows)
 from .value import Value
 
 
@@ -156,35 +159,20 @@ def validate_model(g: GraphSpec, boundary: Iterable[BoundaryPattern]) -> MarkovM
     def covered(v: int) -> bool:
         return any(p.contains(v, g) for p in fam)
 
-    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
-        h, first, sizes = _class_digraph(g)
-        for c, out in enumerate(h.succ, start=1):
-            if out:
-                continue
-            start, card = first[c - 1], sizes[c - 1]
-            if card is None:
-                # patterns hold finitely many explicit vertices, so only a
-                # pattern naming the class covers all of it
-                bare = None if any(c in p.classes for p in fam) else start
-            else:
-                bare = next((v for v in range(start, start + card) if not covered(v)), None)
-            if bare is not None:
-                raise ValidationError(
-                    f"vertex {bare} has no outgoing edge and lies in no boundary set")
-    elif isinstance(g, BandedTailGraph):
-        for i in range(1, g.cutoff + 1):
-            if g.out_degree(i) == 0 and not covered(i):
-                raise ValidationError(
-                    f"vertex {i} has no outgoing edge and lies in no boundary set")
-        if not g.offsets:
-            # patterns are finite, so some tail vertex lies outside them all
-            v = g.cutoff + 1
-            while covered(v):
-                v += 1
+    # Past the family's explicit vertices only a class pattern covers a
+    # vertex, and it covers the whole run, so one probe there decides the
+    # run's tail.  A bare probe leaves the run to explicit vertices alone,
+    # so the scan from the run's start stops at the probe at the latest.
+    top = max((v for p in fam for v in p.finite), default=0)
+    for start, length in zero_rows(g):
+        probe = max(start, top + 1)
+        if (length is None or probe < start + length) and covered(probe):
+            continue
+        run = itertools.count(start) if length is None else range(start, start + length)
+        bare = next((v for v in run if not covered(v)), None)
+        if bare is not None:
             raise ValidationError(
-                f"vertex {v} has no outgoing edge and lies in no boundary set")
-    else:
-        raise ValidationError(f"unknown graph presentation {type(g).__name__}")
+                f"vertex {bare} has no outgoing edge and lies in no boundary set")
     return MarkovModel(g, fam, dense_domain=(fam == forced))
 
 
@@ -413,26 +401,27 @@ def periodic_points(model: MarkovModel, max_period: int,
     records = []
     # A closed walk has no exit iff each of its vertices has one successor.
     forced = {v for v, out in enumerate(fin.succ, start=1) if len(out) == 1}
+    pred = fin.pred
+
+    def leftwards(w: list[int]) -> Sequence[int]:
+        return pred[w[-1] - 1]
+
     # Distinct base points are distinct points of the shift, so rotations
     # of a closed walk are separate records.
     for base in primitive_closed_walks(fin, max_period):
         loop = Loop(base + (base[0],))
         isolated = forced.issuperset(base)
         records.append(PeriodicPointRecord(0, len(base), (), loop, isolated))
-        # Preperiod words grow leftwards.  Minimality of the preperiod is
-        # exactly "last prefix letter differs from the loop's last letter";
-        # shorter prefixes are separate records of their own.
-        frontier: list[tuple[int, ...]] = [()]
-        for m in range(1, max_preperiod + 1):
-            new: list[tuple[int, ...]] = []
-            for pre in frontier:
-                target = pre[0] if pre else base[0]
-                new.extend((i,) + pre for i in fin.pred[target - 1])
-            for w in new:
-                if w[-1] != base[-1]:
-                    records.append(
-                        PeriodicPointRecord(m, len(base), w, loop, isolated))
-            frontier = new
+        # Preperiod words grow leftwards, a walk along the in-neighbours.
+        # The prefix is minimal exactly when its last letter, the walk's
+        # first, differs from the loop's last letter; shorter prefixes are
+        # separate records of their own.  The CLI scans at preperiod 0,
+        # where the walk is skipped, not set up for nothing.
+        if max_preperiod:
+            starts = [i for i in pred[base[0] - 1] if i != base[-1]]
+            for w in walks(starts, leftwards, max_preperiod):
+                records.append(PeriodicPointRecord(
+                    len(w), len(base), tuple(reversed(w)), loop, isolated))
     records.sort(key=lambda r: (r.preperiod, r.prefix, r.loop.vertices))
     return PeriodicScan(tuple(records), max_period, max_preperiod)
 

@@ -22,7 +22,7 @@ from .clopen import (CK4_FAILS, CK4_NOT_FINITELY_SUPPORTED, ClopenSet,
                      ck4_identity, empty_clopen, follower_set, full_space,
                      members_at_level, prepend_word, strip_word)
 from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
-from .graphs import finite_form, valid_vertex
+from .graphs import valid_vertex, vertex_count
 from .pathspace import (MarkovModel, SpectrumPoint, spectrum_level,
                         truncated_point, word_admissible)
 from .value import Value
@@ -335,12 +335,12 @@ def verify_ck_relations(model: MarkovModel,
     fails iff the family is non-empty, and the failures are counted by
     inclusion-exclusion over the family's masks of window positions."""
     g = model.graph
-    fin = finite_form(g)
+    n = vertex_count(g)
     if vertices is None:
-        if fin is None:
+        if n is None:
             raise UnsupportedPresentationError(
                 "infinite model: supply the vertex window to check")
-        vertices = list(fin.vertices())
+        vertices = range(1, n + 1)
     vertices = list(vertices)
     for i in vertices:
         if not valid_vertex(g, i):
@@ -355,7 +355,7 @@ def verify_ck_relations(model: MarkovModel,
                  for E, F, res in results if res.status == CK4_FAILS]
         skipped = sum(res.status == CK4_NOT_FINITELY_SUPPORTED for *_, res in results)
         return CkReport(ck1, ck2, ck3, len(fails), next(iter(fails), None), len(results), skipped)
-    if fin is None:
+    if n is None:
         raise UnsupportedPresentationError(
             "infinite model: supply the E,F subsets for the product identity")
     family = model.boundary_sorted()

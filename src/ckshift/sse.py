@@ -47,9 +47,11 @@ def verify_strong_chain(A: Matrix, B: Matrix,
     the intermediate matrices are determined by the certificate pairs."""
     cur = A
     for R, S in pairs:
-        if not verify_elementary(cur, R, S, mat_mul(S, R)):
+        nxt = mat_mul(S, R)
+        _check_pair(cur, nxt, R, S)
+        if mat_mul(R, S) != cur:
             return False
-        cur = mat_mul(S, R)
+        cur = nxt
     return cur == B
 
 

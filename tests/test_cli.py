@@ -59,6 +59,17 @@ class TestSpectrum:
         assert rep["count"] == 15 and not rep["partial"]
         assert ";{1,2}" in rep["points"]
 
+    @pytest.mark.parametrize("explicit, bare", [("[2]", 3), ("[2,3]", 4)])
+    def test_bare_infinite_class_names_its_first_bare_vertex(self, capsys, tmp_path,
+                                                             explicit, bare):
+        path = tmp_path / "block.json"
+        path.write_text('{"type":"block","classes":[{"card":1},{"card":"inf"}],'
+                        '"block":[[1,1],[0,0]]}')
+        code, out, err = run(capsys, "spectrum", "--depth", "1", "--input", str(path),
+                             "--boundary", f'[{{"finite":[1]}},{{"finite":{explicit}}}]')
+        assert (code, out) == (2, "")
+        assert err == f"error: vertex {bare} has no outgoing edge and lies in no boundary set\n"
+
     @pytest.mark.parametrize("verb, extra, lines", [
         ("spectrum", ("--depth", "12"), 2),  # 8192 points overflow the pipe
         ("ck-verify", (), 0),                # short output, still buffered
@@ -109,6 +120,32 @@ class TestCkVerify:
             code, out, err = run(capsys, "ck-verify", "--input", str(path),
                                  "--boundary", boundary)
             assert (code, out, err) == (2, "", f"error: {message}\n"), boundary
+
+    def test_finite_block_patterns_never_materialize(self, capsys, tmp_path, monkeypatch):
+        # the class digraph answers every question: same report as the
+        # explicit matrix, and no matrix is built
+        cases = [((2, 1), ((1, 1), (1, 0))), ((1, 2), ((0, 1), (1, 1))),
+                 ((2, 2), ((1, 0), (1, 1))), ((1, 1, 2), ((0, 1, 0), (0, 0, 1), (1, 1, 0)))]
+        reports = []
+        for k, (sizes, block) in enumerate(cases):
+            g = ckshift.BlockPatternGraph(sizes, block)
+            flat, pattern = tmp_path / f"flat{k}.json", tmp_path / f"block{k}.json"
+            flat.write_text(json.dumps({"type": "finite", "rows": g.materialize().rows}))
+            pattern.write_text(json.dumps({"type": "block", "block": block,
+                                           "classes": [{"card": c} for c in sizes]}))
+            n = g.total_size()
+            for boundary in ("auto", json.dumps([{"finite": list(range(1, n + 1))}])):
+                argv = ["ck-verify", "--boundary", boundary, "--format", "json", "--input"]
+                reports.append((run(capsys, *argv, str(flat)), argv, pattern))
+        monkeypatch.setattr(ckshift.BlockPatternGraph, "materialize",
+                            lambda self: pytest.fail("a finite block pattern was materialized"))
+        for expected, argv, pattern in reports:
+            assert run(capsys, *argv, str(pattern)) == expected, (argv, pattern.read_text())
+        big = tmp_path / "big.json"
+        big.write_text('{"type":"block","classes":[{"card":1500},{"card":1500}],'
+                       '"block":[[1,1],[1,0]]}')
+        code, out, _ = run(capsys, "ck-verify", "--input", str(big), "--format", "json")
+        assert code == 0 and json.loads(out)["CK4"]["checked"] == 4 ** 3000
 
 
 class TestFreeness:
@@ -331,6 +368,17 @@ class TestDeepAndLarge:
         assert code == 0
         if verb == "jset":
             assert json.loads(out)["cluster_patterns"] == []
+
+    def test_far_explicit_boundary_vertex(self, capsys, tmp_path):
+        # the class pattern covers every bare vertex past 10^9 at once
+        p = tmp_path / "block.json"
+        p.write_text('{"type":"block","classes":[{"card":1},{"card":"inf"}],'
+                     '"block":[[1,1],[0,0]]}')
+        start = time.perf_counter()
+        code, _, err = run(capsys, "spectrum", "--depth", "1", "--input", str(p), "--boundary",
+                           '[{"finite":[1]},{"classes":[2]},{"finite":[1000000000]}]')
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
 
 
 class TestContract:

@@ -383,6 +383,17 @@ class TestCk4:
         with pytest.raises(ValidationError, match="unknown vertex 0"):
             ck.ck4_identity(ck.dense_model(ray), E, F)
 
+    def test_bool_vertex_rejected_on_every_presentation(self, full2_model, ray):
+        # True == 1, but a vertex is never a bool
+        models = [full2_model, ck.dense_model(ray),
+                  ck.dense_model(ck.BlockPatternGraph((2, 1), ((1, 1), (1, 0)))),
+                  ck.dense_model(ck.BlockPatternGraph((1, None), ((1, 1), (1, 1))))]
+        for model in models:
+            for E, F in (([True], []), ([], [True]), ([1, True], [2])):
+                with pytest.raises(ValidationError,
+                                   match="^unknown vertex True: outside the vertex set$"):
+                    ck.ck4_identity(model, E, F)
+
     def test_banded_with_prefix_support(self):
         g = ck.BandedTailGraph(((1,),), 1, (2,), ((1,),))
         m = ck.dense_model(g)

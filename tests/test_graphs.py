@@ -38,6 +38,26 @@ class TestNoZeroRows:
         assert ck.has_no_zero_rows(all_ones_infinite)
         assert not ck.has_no_zero_rows(ck.BlockPatternGraph((2, None), ((1, 1), (0, 0))))
 
+    def test_zero_row_runs(self, ray):
+        # one run per class of the class digraph, prefix vertex or tail
+        assert ck.graphs.zero_rows(ck.FiniteGraph(((0, 0, 0), (1, 0, 1), (0, 0, 0)))) == \
+            [(1, 1), (3, 1)]
+        assert ck.graphs.zero_rows(ck.BlockPatternGraph((2, 3, None), ((0, 0, 0), (1, 1, 1),
+                                                                    (0, 0, 0)))) == \
+            [(1, 2), (6, None)]
+        assert ck.graphs.zero_rows(ck.BandedTailGraph(((0, 0), (1, 0)), 2, (), ((), ()))) == \
+            [(1, 1), (3, None)]
+        assert ck.graphs.zero_rows(ck.BandedTailGraph(((0,),), 1, (1,), ((1,),))) == []
+        assert ck.graphs.zero_rows(ray) == []
+
+    def test_zero_row_runs_match_materialized_exhaustive(self):
+        for g in block_patterns(max_classes=2):
+            fin = g.materialize()
+            bare = [v for v in fin.vertices() if not fin.succ[v - 1]]
+            runs = ck.graphs.zero_rows(g)
+            assert [v for start, card in runs for v in range(start, start + card)] == bare
+            assert ck.has_no_zero_rows(g) == (not bare) == ck.has_no_zero_rows(fin)
+
 
 class TestConditionL:
     def test_examples(self):

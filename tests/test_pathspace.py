@@ -7,9 +7,10 @@ import pytest
 import ckshift as ck
 from ckshift.errors import (DomainError, UnsupportedPresentationError,
                             ValidationError)
-from ckshift.graphs import all_finite_graphs, finite_form, loop_has_outgoing_edge, walks
-from ckshift.pathspace import (SpectrumPoint, fiber, full_point,
-                               strict_period_counts, truncated_point)
+from ckshift.graphs import (all_finite_graphs, finite_form, loop_has_outgoing_edge,
+                            primitive_closed_walks, walks)
+from ckshift.pathspace import (PeriodicPointRecord, PeriodicScan, SpectrumPoint, fiber,
+                               full_point, strict_period_counts, truncated_point)
 from ckshift.sse import trace_powers
 
 
@@ -78,6 +79,58 @@ class TestValidateModel:
         with pytest.raises(ValidationError) as err:
             ck.validate_model(g, [ck.make_pattern(g)])
         assert str(err.value) == "vertex 1 has no outgoing edge and lies in no boundary set"
+
+    def test_infinite_zero_class_names_its_first_bare_vertex(self):
+        # vertex 2 heads the bare infinite class but lies in {2}
+        g = ck.BlockPatternGraph((1, None), ((1, 1), (0, 0)))
+        for J, bare in (((2,), 3), ((2, 3), 4), ((3,), 2)):
+            family = [ck.make_pattern(g, finite=(1,)), ck.make_pattern(g, finite=J)]
+            with pytest.raises(ValidationError) as err:
+                ck.validate_model(g, family)
+            assert str(err.value) == \
+                f"vertex {bare} has no outgoing edge and lies in no boundary set"
+
+    def test_far_explicit_vertex_needs_no_scan(self, monkeypatch):
+        # the class pattern covers the probe past 10^9, so nothing is scanned
+        g = ck.BlockPatternGraph((1, None), ((1, 1), (0, 0)))
+        family = [ck.make_pattern(g, finite=(1,)), ck.make_pattern(g, classes=(2,)),
+                  ck.make_pattern(g, finite=(10 ** 9,))]
+        calls, contains = [], ck.BoundaryPattern.contains
+        monkeypatch.setattr(ck.BoundaryPattern, "contains",
+                            lambda pat, v, h: calls.append(v) or contains(pat, v, h))
+        model = ck.validate_model(g, family)
+        assert not model.dense_domain and len(calls) <= len(family)
+
+    def test_first_bare_vertex_against_brute_scan(self):
+        # the first bare vertex, from a scan past every explicit vertex
+        def brute(g, family):
+            top = max((v for p in family for v in p.finite), default=0)
+            last = g.total_size() or top + sum(g.class_sizes[:-1]) + 2
+            for v in range(1, last + 1):
+                if not any(g.block[g.class_of(v) - 1]) and \
+                        not any(p.contains(v, g) for p in family):
+                    return f"vertex {v} has no outgoing edge and lies in no boundary set"
+            return None
+
+        rng = random.Random(15)
+        for k in (1, 2, 3):
+            for _ in range(150):
+                sizes = tuple(rng.randint(1, 3) for _ in range(k - 1)) + \
+                    (rng.choice((None, 1, 2, 3)),)
+                g = ck.BlockPatternGraph(sizes, tuple(
+                    tuple(rng.choice((0, 0, 1)) for _ in range(k)) for _ in range(k)))
+                family = set(ck.cluster_patterns(g))
+                for _ in range(rng.randint(0, 3)):
+                    n = g.total_size() or 8
+                    family.add(ck.make_pattern(
+                        g, finite=rng.sample(range(1, n + 1), rng.randint(0, min(n, 3))),
+                        classes=[k] if sizes[-1] is None and rng.random() < 0.3 else ()))
+                try:
+                    ck.validate_model(g, family)
+                    got = None
+                except ValidationError as exc:
+                    got = str(exc)
+                assert got == brute(g, family), (sizes, g.block, family)
 
     def test_zero_row_covered_by_boundary(self):
         g = ck.FiniteGraph(((0, 1), (0, 0)))
@@ -473,6 +526,40 @@ class TestPeriodicPoints:
     def test_infinite_rejected(self, ray):
         with pytest.raises(UnsupportedPresentationError):
             ck.periodic_points(ck.dense_model(ray), 2, 0)
+
+    def test_matches_leftward_frontier_exhaustive(self):
+        # every graph on 1-3 vertices, against the frontier that grew the
+        # prefixes one letter to the left per preperiod
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                model = ck.validate_model(g, [ck.full_pattern(g)])
+                for p in (1, 2, 3):
+                    for q in (0, 1, 2, 3):
+                        assert repr(ck.periodic_points(model, p, q)) == \
+                            repr(frontier_periodic_points(g, p, q)), (g.rows, p, q)
+
+
+def frontier_periodic_points(g, max_period, max_preperiod):
+    """Oracle: the leftward preperiod frontier, every prefix kept and the
+    minimal ones recorded."""
+    records = []
+    forced = {v for v, out in enumerate(g.succ, start=1) if len(out) == 1}
+    for base in primitive_closed_walks(g, max_period):
+        loop = ck.Loop(base + (base[0],))
+        isolated = forced.issuperset(base)
+        records.append(PeriodicPointRecord(0, len(base), (), loop, isolated))
+        frontier = [()]
+        for m in range(1, max_preperiod + 1):
+            new = []
+            for pre in frontier:
+                target = pre[0] if pre else base[0]
+                new.extend((i,) + pre for i in g.pred[target - 1])
+            for w in new:
+                if w[-1] != base[-1]:
+                    records.append(PeriodicPointRecord(m, len(base), w, loop, isolated))
+            frontier = new
+    records.sort(key=lambda r: (r.preperiod, r.prefix, r.loop.vertices))
+    return PeriodicScan(tuple(records), max_period, max_preperiod)
 
 
 def brute_freeness_scan(model, m0, n0, depth):

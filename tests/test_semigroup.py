@@ -11,6 +11,7 @@ from ckshift.semigroup import (Ck4Failure, Monomial, decision_level,
                                min_evaluation_level, product, projection_p,
                                projection_q)
 from test_clopen import valid_models
+from test_graphs import block_patterns
 
 
 def random_word_monomial(model, rng, max_len=6, normalized=True):
@@ -504,6 +505,23 @@ class TestCkClosedForm:
                                       for J in ((), (1,), (1, 3), (2, 3))])
         for window in ([2, 1, 1, 2], [3, 3, 3], [1], []):
             assert_ck4_matches_pairs(model, window)
+
+    def test_finite_block_patterns_never_materialize(self, monkeypatch):
+        # each report is decided on the classes and equals the report on
+        # the explicit matrix, computed before materialize is forbidden
+        cases = []
+        for g in block_patterns(max_classes=2, max_card=2):
+            n = g.total_size()
+            flat = g.materialize()
+            families = [[], [tuple(range(1, n + 1))], [(1,), tuple(range(2, n + 1))]]
+            cases += [(model, ck.verify_ck_relations(flat_model))
+                      for model, flat_model in zip(valid_models(g, families),
+                                                   valid_models(flat, families))]
+        assert len(cases) > 100
+        monkeypatch.setattr(ck.BlockPatternGraph, "materialize",
+                            lambda self: pytest.fail("a finite block pattern was materialized"))
+        for model, expected in cases:
+            assert ck.verify_ck_relations(model) == expected, model
 
 
 class TestTailPartition:

@@ -77,3 +77,17 @@ def test_import_loads_no_dataclasses_or_inspect():
     added = loaded("import ckshift, ckshift.cli") - loaded("pass")
     assert "ckshift.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_clopen_and_semigroup_ask_graphs_not_presentations():
+    # structural questions about a graph are answered in graphs, so the
+    # clopen and monomial layers never look inside a presentation
+    private = {"FiniteGraph", "BlockPatternGraph", "BandedTailGraph", "finite_form",
+               "_class_digraph"}
+    offenders = []
+    for name in ("clopen.py", "semigroup.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        offenders += [f"{name}:{node.lineno} {alias.name}" for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      for alias in node.names if alias.name.split(".")[-1] in private]
+    assert offenders == []

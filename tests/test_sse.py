@@ -108,6 +108,18 @@ class TestVerify:
         assert verify_strong_chain(A2, A2, [(R12, S21), (S21, R12)])
         assert not verify_strong_chain(A2, ((3,),), [(R12, S21)])
 
+    def test_strong_chain_multiplies_each_pair_once_each_way(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ck.sse, "mat_mul",
+                            lambda X, Y: calls.append((X, Y)) or mat_mul(X, Y))
+        assert verify_strong_chain(A2, A2, [(R12, S21), (S21, R12)])
+        assert calls == [(S21, R12), (R12, S21), (R12, S21), (S21, R12)]
+        calls.clear()
+        assert not verify_strong_chain(((3,),), ALL1, [(R12, S21)])  # R·S is [2], not [3]
+        assert calls == [(S21, R12), (R12, S21)]
+        with pytest.raises(ValidationError, match="R must be entrywise nonnegative"):
+            verify_strong_chain(A2, ALL1, [(((-1, 1),), S21)])
+
 
 class TestSearch:
     def test_finds_canonical_pair(self):
