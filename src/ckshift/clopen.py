@@ -28,11 +28,6 @@ from .value import Value
 class ClopenSet(Value):
     __slots__ = ("model", "level", "members")
 
-    def __init__(self, model: MarkovModel, level: int, members: frozenset[SpectrumPoint]):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "members", members)
-
     @property
     def is_empty(self) -> bool:
         return not self.members
@@ -244,12 +239,7 @@ CK4_NOT_FINITELY_SUPPORTED = "not_finitely_supported"
 
 class Ck4Result(Value):
     __slots__ = ("status", "witness", "support")
-
-    def __init__(self, status: str, witness: Optional[SpectrumPoint] = None,
-                 support: Optional[frozenset[int]] = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "support", support)
+    _defaults = {"witness": None, "support": None}
 
     @property
     def holds(self) -> bool:

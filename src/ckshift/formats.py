@@ -21,7 +21,6 @@ is an input error like any other.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .errors import ValidationError, short_repr
 from .graphs import BandedTailGraph, BlockPatternGraph, FiniteGraph, GraphSpec
@@ -140,14 +139,11 @@ def parse_matrix(value, path: str = "matrix") -> Matrix:
 
 
 class Certificate(Value):
-    __slots__ = ("A", "B", "pairs", "lag")
+    """A certificate that A and B are equivalent: one pair (R, S) of a
+    lag-``lag`` shift equivalence, or, with ``lag`` None, the pairs of a
+    strong chain."""
 
-    def __init__(self, A: Matrix, B: Matrix, pairs: tuple[tuple[Matrix, Matrix], ...],
-                 lag: Optional[int]):  # lag None: a strong chain certificate
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "lag", lag)
+    __slots__ = ("A", "B", "pairs", "lag")
 
     @property
     def is_chain(self) -> bool:

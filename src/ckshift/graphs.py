@@ -323,17 +323,9 @@ class Loop(Value):
     def base_word(self) -> tuple[int, ...]:
         return self.vertices[:-1]
 
-    @property
-    def is_simple(self) -> bool:
-        return len(set(self.base_word)) == self.length
-
 
 class LoopRecord(Value):
     __slots__ = ("loop", "has_outgoing_edge")
-
-    def __init__(self, loop: Loop, has_outgoing_edge: bool):
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "has_outgoing_edge", has_outgoing_edge)
 
 
 def loop_has_outgoing_edge(g: GraphSpec, loop: Loop) -> bool:
@@ -499,10 +491,7 @@ def _functional_cycles(step: dict[int, int]) -> list[list[int]]:
 
 class ConditionLVerdict(Value):
     __slots__ = ("holds", "witness")
-
-    def __init__(self, holds: bool, witness: Optional[Loop] = None):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
     def __bool__(self) -> bool:
         return self.holds
@@ -628,11 +617,7 @@ NOT_APPLICABLE = "not-applicable"
 
 class Verdict(Value):
     __slots__ = ("status", "witness", "reason")
-
-    def __init__(self, status: str, witness: object = None, reason: str = ""):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"witness": None, "reason": ""}
 
     @property
     def met(self) -> bool:
@@ -642,19 +627,6 @@ class Verdict(Value):
 class ClassificationReport(Value):
     __slots__ = ("no_zero_rows", "condition_l", "irreducible", "irreducible_witness",
                  "every_vertex_reaches_loop", "loop_witness", "simple", "purely_infinite")
-
-    def __init__(self, no_zero_rows: bool, condition_l: ConditionLVerdict, irreducible: bool,
-                 irreducible_witness: Optional[tuple[int, int]],
-                 every_vertex_reaches_loop: bool, loop_witness: Optional[int],
-                 simple: Verdict, purely_infinite: Verdict):
-        object.__setattr__(self, "no_zero_rows", no_zero_rows)
-        object.__setattr__(self, "condition_l", condition_l)
-        object.__setattr__(self, "irreducible", irreducible)
-        object.__setattr__(self, "irreducible_witness", irreducible_witness)
-        object.__setattr__(self, "every_vertex_reaches_loop", every_vertex_reaches_loop)
-        object.__setattr__(self, "loop_witness", loop_witness)
-        object.__setattr__(self, "simple", simple)
-        object.__setattr__(self, "purely_infinite", purely_infinite)
 
 
 def classify(g: GraphSpec) -> ClassificationReport:
@@ -686,12 +658,3 @@ def classify(g: GraphSpec) -> ClassificationReport:
         pi = Verdict(CRITERIA_FAILED, witness=rl_wit,
                      reason="some vertex reaches no loop")
     return ClassificationReport(nzr, cl, irr, irr_wit, rl, rl_wit, simple, pi)
-
-
-def all_finite_graphs(n: int, no_zero_rows_only: bool = False) -> Iterable[FiniteGraph]:
-    """Every n x n 0/1 matrix, in row-major lexicographic order."""
-    row_choices = list(itertools.product((0, 1), repeat=n))
-    if no_zero_rows_only:
-        row_choices = [r for r in row_choices if any(r)]
-    for rows in itertools.product(row_choices, repeat=n):
-        yield FiniteGraph(rows)

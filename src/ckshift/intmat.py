@@ -213,24 +213,11 @@ def charpoly(a: Matrix) -> tuple[int, ...]:
     return tuple(_newton(power_sums(a, n), n))
 
 
-def poly_eval(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 class SmithForm(Value):
     __slots__ = ("factors", "U", "V", "D")
-
-    def __init__(self, factors: tuple[int, ...], U: Matrix, V: Matrix, D: Matrix):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "D", D)
 
 
 def smith_normal_form(m: Matrix) -> SmithForm:

@@ -36,13 +36,6 @@ class BoundaryPattern(Value):
 
     __slots__ = ("finite", "classes")
 
-    def __init__(self, finite: frozenset[int], classes: frozenset[int]):
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "classes", classes)
-
-    def __hash__(self):  # written out: the clopen layer hashes points in its inner loops
-        return hash((self.finite, self.classes))
-
     @property
     def is_empty(self) -> bool:
         return not self.finite and not self.classes
@@ -191,13 +184,7 @@ class SpectrumPoint(Value):
     letter.  The level is carried by the enclosing enumeration."""
 
     __slots__ = ("word", "boundary")
-
-    def __init__(self, word: tuple[int, ...], boundary: Optional[BoundaryPattern] = None):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "boundary", boundary)
-
-    def __hash__(self):  # written out: the clopen layer hashes points in its inner loops
-        return hash((self.word, self.boundary))
+    _defaults = {"boundary": None}
 
     @property
     def is_full(self) -> bool:
@@ -243,10 +230,6 @@ def word_admissible(g: GraphSpec, word: Sequence[int]) -> bool:
 
 class SpectrumSlice(Value):
     __slots__ = ("points", "partial")
-
-    def __init__(self, points: tuple[SpectrumPoint, ...], partial: bool):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "partial", partial)
 
 
 def spectrum_level(model: MarkovModel, n: int,
@@ -358,23 +341,9 @@ class PeriodicPointRecord(Value):
 
     __slots__ = ("preperiod", "period", "prefix", "loop", "isolated")
 
-    def __init__(self, preperiod: int, period: int, prefix: tuple[int, ...], loop: Loop,
-                 isolated: bool):
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "isolated", isolated)
-
 
 class PeriodicScan(Value):
     __slots__ = ("records", "max_period", "max_preperiod")
-
-    def __init__(self, records: tuple[PeriodicPointRecord, ...], max_period: int,
-                 max_preperiod: int):
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "max_period", max_period)
-        object.__setattr__(self, "max_preperiod", max_preperiod)
 
     def strict_count_dividing(self, k: int) -> int:
         """Number of strictly periodic points whose minimal period divides k."""
@@ -456,10 +425,7 @@ def strict_period_counts(g: GraphSpec, max_k: int) -> list[int]:
 
 class FreenessScanResult(Value):
     __slots__ = ("violation_found", "witness")
-
-    def __init__(self, violation_found: bool, witness: Optional[tuple[int, ...]] = None):
-        object.__setattr__(self, "violation_found", violation_found)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 def essential_freeness_scan(model: MarkovModel, m0: int, n0: int,

@@ -14,8 +14,8 @@ spectrum members and is the independent oracle for normal-form equality.
 
 from __future__ import annotations
 
-import itertools
 import re
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .clopen import (CK4_FAILS, CK4_NOT_FINITELY_SUPPORTED, ClopenSet,
@@ -32,13 +32,6 @@ class Monomial(Value):
     """S(alpha, h, beta): acts by  beta.x -> alpha.x  on x in h."""
 
     __slots__ = ("model", "alpha", "h", "beta")
-
-    def __init__(self, model: MarkovModel, alpha: tuple[int, ...], h: ClopenSet,
-                 beta: tuple[int, ...]):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "beta", beta)
 
     @property
     def is_zero(self) -> bool:
@@ -194,9 +187,6 @@ class PartialInjection(Value):
         return PartialInjection(self.dst_level, self.src_level,
                                 frozenset((d, s) for s, d in self.pairs))
 
-    def is_identity_on_domain(self) -> bool:
-        return all(s == d for s, d in self.pairs)
-
 
 def min_evaluation_level(a: Monomial) -> int:
     return max(len(a.alpha), len(a.beta)) + a.h.level
@@ -271,37 +261,16 @@ def parse_monomial(model: MarkovModel, text: str) -> Monomial:
 
 class RelationCheck(Value):
     __slots__ = ("name", "passed", "witness")
-
-    def __init__(self, name: str, passed: bool, witness: Optional[object] = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 class Ck4Failure(Value):
     __slots__ = ("E", "F", "witness")
 
-    def __init__(self, E: tuple[int, ...], F: tuple[int, ...],
-                 witness: Optional[SpectrumPoint]):
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "witness", witness)
-
 
 class CkReport(Value):
     __slots__ = ("ck1", "ck2", "ck3", "ck4_failed", "ck4_first_failure", "ck4_checked",
                  "ck4_not_finitely_supported")
-
-    def __init__(self, ck1: RelationCheck, ck2: RelationCheck, ck3: RelationCheck,
-                 ck4_failed: int, ck4_first_failure: Optional[Ck4Failure], ck4_checked: int,
-                 ck4_not_finitely_supported: int):
-        object.__setattr__(self, "ck1", ck1)
-        object.__setattr__(self, "ck2", ck2)
-        object.__setattr__(self, "ck3", ck3)
-        object.__setattr__(self, "ck4_failed", ck4_failed)
-        object.__setattr__(self, "ck4_first_failure", ck4_first_failure)
-        object.__setattr__(self, "ck4_checked", ck4_checked)
-        object.__setattr__(self, "ck4_not_finitely_supported", ck4_not_finitely_supported)
 
     @property
     def ck4_passed(self) -> bool:
@@ -325,14 +294,15 @@ def verify_ck_relations(model: MarkovModel,
 
     CK1-3 are closed form.  The V_i are sets, so they commute.  U_i and U_j
     are disjoint when i != j, and every U_i is non-empty (``validate_model``
-    gives each vertex a terminal path), so CK2 fails exactly at the first
-    pair (i, i) of ``combinations``.  A point of U_j starts with j, so U_j
-    meets V_i in U_j when A(i,j) = 1 and not at all otherwise.  Explicit
-    pairs go to :func:`~ckshift.clopen.ck4_identity`: (E, F) fails exactly
-    when some J in the family has E inside J and F disjoint from J, with
-    witness (∅;J) for the first such J.  So on all 4^m pairs of subsets of
-    the m window positions every support is finite, the first pair (∅, ∅)
-    fails iff the family is non-empty, and the failures are counted by
+    gives each vertex a terminal path), so CK2 fails exactly at (v, v) for
+    the first vertex v of the window that occurs in it again.  A point of
+    U_j starts with j, so U_j meets V_i in U_j when A(i,j) = 1 and not at
+    all otherwise.  Explicit pairs go to
+    :func:`~ckshift.clopen.ck4_identity`: (E, F) fails exactly when some J
+    in the family has E inside J and F disjoint from J, with witness (∅;J)
+    for the first such J.  So on all 4^m pairs of subsets of the m window
+    positions every support is finite, the first pair (∅, ∅) fails iff the
+    family is non-empty, and the failures are counted by
     inclusion-exclusion over the family's masks of window positions."""
     g = model.graph
     n = vertex_count(g)
@@ -345,7 +315,8 @@ def verify_ck_relations(model: MarkovModel,
     for i in vertices:
         if not valid_vertex(g, i):
             raise ValidationError(f"unknown vertex {i}")
-    bad2 = next(((i, j) for i, j in itertools.combinations(vertices, 2) if i == j), None)
+    counts = Counter(vertices)
+    bad2 = next(((v, v) for v in vertices if counts[v] > 1), None)
     ck1, ck2, ck3 = (RelationCheck("CK1", True), RelationCheck("CK2", bad2 is None, bad2),
                      RelationCheck("CK3", True))
 

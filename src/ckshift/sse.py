@@ -78,10 +78,6 @@ class BowenFranks(Value):
 
     __slots__ = ("factors", "determinant")
 
-    def __init__(self, factors: tuple[int, ...], determinant: int):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "determinant", determinant)
-
     @property
     def torsion(self) -> tuple[int, ...]:
         """The nontrivial cyclic orders (empty means the group is trivial
@@ -112,11 +108,6 @@ def charpoly_nonzero_part(A: Matrix) -> tuple[int, ...]:
 
 class InvariantComparison(Value):
     __slots__ = ("bf_factors_equal", "det_equal", "charpoly_equal")
-
-    def __init__(self, bf_factors_equal: bool, det_equal: bool, charpoly_equal: bool):
-        object.__setattr__(self, "bf_factors_equal", bf_factors_equal)
-        object.__setattr__(self, "det_equal", det_equal)
-        object.__setattr__(self, "charpoly_equal", charpoly_equal)
 
     @property
     def all_equal(self) -> bool:
@@ -290,11 +281,6 @@ def edge_paths(M: Matrix, length: int) -> Iterable[tuple[Edge, ...]]:
 class DimGroupElement(Value):
     __slots__ = ("matrix", "vector", "level")
 
-    def __init__(self, matrix: Matrix, vector: tuple[int, ...], level: int):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "level", level)
-
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -303,10 +289,7 @@ UNDECIDED = "undecided"
 
 class PositivityVerdict(Value):
     __slots__ = ("status", "power")
-
-    def __init__(self, status: str, power: Optional[int] = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "power", power)
+    _defaults = {"power": None}
 
 
 class DimensionGroup:
@@ -361,10 +344,6 @@ class DimensionGroup:
         m = max(x.level, y.level)
         v = tuple(a + b for a, b in zip(self._lift(x, m), self._lift(y, m)))
         return DimGroupElement(self.matrix, v, m)
-
-    def neg(self, x: DimGroupElement) -> DimGroupElement:
-        self._mine(x)
-        return DimGroupElement(self.matrix, tuple(-c for c in x.vector), x.level)
 
     def tau(self, x: DimGroupElement) -> DimGroupElement:
         """The shift automorphism: multiplication by A at the same level."""

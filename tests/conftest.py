@@ -1,6 +1,17 @@
+import itertools
+
 import pytest
 
 import ckshift as ck
+
+
+def all_finite_graphs(n: int, no_zero_rows_only: bool = False):
+    """Every n x n 0/1 matrix, in row-major lexicographic order."""
+    row_choices = list(itertools.product((0, 1), repeat=n))
+    if no_zero_rows_only:
+        row_choices = [r for r in row_choices if any(r)]
+    for rows in itertools.product(row_choices, repeat=n):
+        yield ck.FiniteGraph(rows)
 
 
 @pytest.fixture

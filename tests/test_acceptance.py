@@ -14,11 +14,12 @@ import time
 
 import ckshift as ck
 from ckshift.cli import main
-from ckshift.graphs import all_finite_graphs
 from ckshift.intmat import det, identity, mat_mul, mat_sub
 from ckshift.pathspace import strict_period_counts, truncated_point
 from ckshift.semigroup import decision_level
 from ckshift.sse import trace_powers
+
+from conftest import all_finite_graphs
 
 GOLDEN = ((1, 1), (1, 0))
 FULL2 = ((1, 1), (1, 1))

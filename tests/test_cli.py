@@ -147,6 +147,23 @@ class TestCkVerify:
         code, out, _ = run(capsys, "ck-verify", "--input", str(big), "--format", "json")
         assert code == 0 and json.loads(out)["CK4"]["checked"] == 4 ** 3000
 
+    def test_pair_count_past_the_int_digit_limit(self, capsys, tmp_path):
+        # 4^7144 pairs has 4301 digits, one past CPython's default limit on
+        # int-to-str conversion; the count still prints in full
+        big = tmp_path / "big.json"
+        big.write_text('{"type":"block","classes":[{"card":3572},{"card":3572}],'
+                       '"block":[[1,1],[1,0]]}')
+        outs = {}
+        for fmt in ("text", "json"):
+            start = time.perf_counter()
+            code, outs[fmt], err = run(capsys, "ck-verify", "--input", str(big), "--format", fmt)
+            assert time.perf_counter() - start < 1.0, fmt
+            assert (code, err) == (0, ""), fmt
+        assert "CK2.status: pass\n" in outs["text"]
+        assert f"CK4.checked: {4 ** 7144}\n" in outs["text"]
+        rep = json.loads(outs["json"])
+        assert rep["CK2"]["status"] == "pass" and rep["CK4"]["checked"] == 4 ** 7144
+
 
 class TestFreeness:
     def test_full_shift_free(self, capsys):

@@ -11,8 +11,9 @@ import ckshift.clopen as clopen
 from ckshift.clopen import (make_clopen, members_at_level, prepend_word,
                             strip_word)
 from ckshift.errors import UnsupportedPresentationError, ValidationError
-from ckshift.graphs import all_finite_graphs
 from ckshift.pathspace import SpectrumPoint, full_point, truncated_point
+
+from conftest import all_finite_graphs
 
 
 class TestBaseSets:

@@ -90,7 +90,7 @@ class TestDet:
             a = random_matrix(rng, n, n, -4, 4)
             p = im.charpoly(a)
             i_minus_a = im.mat_sub(im.identity(n), a)
-            assert im.poly_eval(p, 1) == im.det(i_minus_a)
+            assert sum(p) == im.det(i_minus_a)  # the value at x = 1
 
 
 class TestCharpoly:

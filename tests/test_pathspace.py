@@ -7,11 +7,12 @@ import pytest
 import ckshift as ck
 from ckshift.errors import (DomainError, UnsupportedPresentationError,
                             ValidationError)
-from ckshift.graphs import (all_finite_graphs, finite_form, loop_has_outgoing_edge,
-                            primitive_closed_walks, walks)
+from ckshift.graphs import finite_form, loop_has_outgoing_edge, primitive_closed_walks, walks
 from ckshift.pathspace import (PeriodicPointRecord, PeriodicScan, SpectrumPoint, fiber,
                                full_point, strict_period_counts, truncated_point)
 from ckshift.sse import trace_powers
+
+from conftest import all_finite_graphs
 
 
 class TestClusterPatterns:

@@ -5,11 +5,11 @@ import pytest
 
 import ckshift as ck
 from ckshift.errors import DomainError, ValidationError
-from ckshift.graphs import all_finite_graphs
 from ckshift.pathspace import full_point, truncated_point
 from ckshift.semigroup import (Ck4Failure, Monomial, decision_level,
                                min_evaluation_level, product, projection_p,
                                projection_q)
+from conftest import all_finite_graphs
 from test_clopen import valid_models
 from test_graphs import block_patterns
 
@@ -153,7 +153,7 @@ class TestEvaluate:
     def test_identity_and_zero(self, full2_model):
         ident = ck.identity(full2_model)
         pi = ck.evaluate(ident, 2)
-        assert pi.is_identity_on_domain() and len(pi.pairs) == 8
+        assert all(s == d for s, d in pi.pairs) and len(pi.pairs) == 8
         assert ck.evaluate(ck.zero(full2_model), 2).pairs == frozenset()
 
     def test_level_too_small(self, full2_model):
@@ -478,6 +478,20 @@ class TestCkClosedForm:
             assert_ck13_matches_oracle(model, window)
         rep = ck.verify_ck_relations(golden, vertices=[2, 1, 1, 2], ck4_pairs=[])
         assert rep.ck2.witness == (2, 2)  # the first repeated pair, not vertex 1
+
+    def test_ck2_witness_is_the_first_repeated_pair(self):
+        # the one-pass count against the scan of every pair of positions
+        rng = random.Random(16)
+        model = ck.dense_model(ck.FiniteGraph(((1,) * 6,) * 6))
+        repeats = 0
+        for _ in range(400):
+            window = [rng.randint(1, 6) for _ in range(rng.randint(0, 9))]
+            expected = next(((i, j) for i, j in itertools.combinations(window, 2)
+                             if i == j), None)
+            rep = ck.verify_ck_relations(model, vertices=window, ck4_pairs=[])
+            assert (rep.ck2.witness, rep.ck2.passed) == (expected, expected is None), window
+            repeats += expected is not None
+        assert 100 < repeats < 400
 
     def test_ck4_every_small_graph_and_family(self):
         for model in small_models():

@@ -91,3 +91,22 @@ def test_clopen_and_semigroup_ask_graphs_not_presentations():
                       if isinstance(node, (ast.Import, ast.ImportFrom))
                       for alias in node.names if alias.name.split(".")[-1] in private]
     assert offenders == []
+
+
+def test_only_validating_value_classes_write_a_constructor():
+    # Value writes __init__ and __hash__ from the fields, so a value class
+    # writes its own constructor only to validate fields or derive slots
+    validating = {"FiniteGraph", "BlockPatternGraph", "BandedTailGraph", "Loop",
+                  "MarkovModel", "PartialInjection", "ConjugacyPair"}
+    values, written = {"Value"}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", None) in values for base in node.bases):
+                values.add(node.name)
+                written += [(node.name, fn.name) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and fn.name in ("__init__", "__hash__")]
+    assert len(values) == 1 + 29
+    assert sorted(written) == sorted((name, "__init__") for name in validating)

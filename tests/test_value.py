@@ -195,3 +195,16 @@ def test_constructor_validation(build, match):
 
 def test_empty_injection_lands_at_its_source_level():
     assert ck.PartialInjection(2, 5, frozenset()).dst_level == 2
+
+
+def test_subclasses_keep_the_validating_constructor():
+    # a bare subclass inherits its base's checks and derived slots, not a
+    # constructor written from the fields
+    graph = type("Graph", (ck.FiniteGraph,), {"__slots__": ()})
+    with pytest.raises(ValidationError, match="square"):
+        graph(((0, 1),))
+    model = type("Model", (ck.MarkovModel,), {"__slots__": ()})
+    g = ck.FiniteGraph(((1, 1), (1, 0)))
+    pats = frozenset({ck.make_pattern(g, finite=(2,)), ck.make_pattern(g, finite=(1,))})
+    assert model(g, pats, False).boundary_sorted() == ck.MarkovModel(g, pats, False)._sorted
+    assert len(model(g, pats, False).boundary_sorted()) == 2
