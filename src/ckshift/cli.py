@@ -153,6 +153,9 @@ def _run_spectrum(args):
 def _run_ck_verify(args):
     model = _model_from_args(args)
     if graphs.is_infinite(model.graph):
+        if args.depth < 1:
+            raise ValidationError(
+                f"--depth must be at least 1 on an infinite model, got {args.depth}")
         window = list(range(1, args.depth + 1))
         pairs = [((i,), ()) for i in window] + [((), (i,)) for i in window]
         rep = semigroup.verify_ck_relations(model, vertices=window, ck4_pairs=pairs)
@@ -351,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact counts print in full: ck-verify's 4^n pairs pass 4300 digits at n = 7144
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        # exact counts print in full: ck-verify's 4^n pairs pass 4300 digits at n = 7144;
+        # the caller's limit comes back when main returns
         sys.set_int_max_str_digits(0)
     try:
         report, code = _HANDLERS[args.verb](args)
@@ -374,6 +379,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a fault of the program: one line, not a traceback
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -97,14 +97,10 @@ def _lower_once(model: MarkovModel, level: int,
     if level == 0:
         return None
     images = {project_point(p, level) for p in members}
-    covered = set()
     for q in images:
         for p in fiber(model, q, level - 1):
             if p not in members:
                 return None
-            covered.add(p)
-    if covered != members:
-        return None
     return frozenset(images)
 
 

@@ -13,9 +13,10 @@ Certificates:
     {"A": ..., "B": ..., "R": ..., "S": ..., "lag": k}
     {"A": ..., "B": ..., "chain": [{"R": ..., "S": ...}, ...]}
 
-Malformed input is rejected with the offending field named; JSON syntax
-errors keep their line/column diagnostics, and nesting too deep to decode
-is an input error like any other.
+Malformed input is rejected with the offending field named, and so is a
+pattern or certificate field not listed above.  JSON syntax errors keep
+their line/column diagnostics, and nesting too deep to decode is an input
+error like any other.
 """
 
 from __future__ import annotations
@@ -105,8 +106,6 @@ def parse_boundary(g: GraphSpec, spec) -> frozenset[BoundaryPattern]:
         if spec == "auto":
             return cluster_patterns(g)
         spec = loads(spec)
-        if spec == "auto":
-            return cluster_patterns(g)
     if not isinstance(spec, list):
         raise _fail("boundary", "must be \"auto\" or a list of pattern objects")
     patterns = set()
@@ -114,6 +113,8 @@ def parse_boundary(g: GraphSpec, spec) -> frozenset[BoundaryPattern]:
         path = f"boundary[{k}]"
         if not isinstance(entry, dict):
             raise _fail(path, "must be an object with 'finite'/'classes' fields")
+        if unknown := [key for key in entry if key not in ("finite", "classes")]:
+            raise _fail(path, f"unknown field {short_repr(unknown[0])}")
         finite = entry.get("finite", [])
         classes = entry.get("classes", [])
         if not isinstance(finite, list) or not isinstance(classes, list):
@@ -155,6 +156,9 @@ def parse_certificate(obj) -> Certificate:
         obj = loads(obj)
     if not isinstance(obj, dict):
         raise _fail("certificate", "must be a JSON object")
+    fields = ("A", "B", "chain") if "chain" in obj else ("A", "B", "R", "S", "lag")
+    if unknown := [key for key in obj if key not in fields]:
+        raise _fail("certificate", f"unknown field {short_repr(unknown[0])}")
     A = parse_matrix(_require(obj, "A", "certificate"), "certificate.A")
     B = parse_matrix(_require(obj, "B", "certificate"), "certificate.B")
     if "chain" in obj:
@@ -166,6 +170,8 @@ def parse_certificate(obj) -> Certificate:
             path = f"certificate.chain[{k}]"
             if not isinstance(entry, dict):
                 raise _fail(path, "must be an object with 'R' and 'S'")
+            if unknown := [key for key in entry if key not in ("R", "S")]:
+                raise _fail(path, f"unknown field {short_repr(unknown[0])}")
             pairs.append((parse_matrix(_require(entry, "R", path), path + ".R"),
                           parse_matrix(_require(entry, "S", path), path + ".S")))
         return Certificate(A, B, tuple(pairs), None)

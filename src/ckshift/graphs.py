@@ -90,10 +90,6 @@ class FiniteGraph(Value):
         self._check(i)
         return self.succ[i - 1]
 
-    def in_neighbors(self, j: int) -> tuple[int, ...]:
-        self._check(j)
-        return self.pred[j - 1]
-
     def out_degree(self, i: int) -> int:
         self._check(i)
         return len(self.succ[i - 1])
@@ -142,10 +138,6 @@ class BlockPatternGraph(Value):
     @property
     def num_classes(self) -> int:
         return len(self.class_sizes)
-
-    def class_start(self, c: int) -> int:
-        """First vertex id of class ``c`` (classes are 1-based)."""
-        return self.starts[c - 1]
 
     def class_of(self, v: int) -> int:
         if v < 1:
@@ -247,15 +239,6 @@ class BandedTailGraph(Value):
                     out.append(i + o)
             return tuple(sorted(out))
         return tuple(i + o for o in self.offsets)
-
-    def in_neighbors(self, j: int) -> tuple[int, ...]:
-        if j <= self.cutoff:
-            return tuple(i + 1 for i in range(self.cutoff) if self.prefix[i][j - 1])
-        out = [j - o for o in self.offsets if j - o > self.cutoff]
-        for i in range(1, self.cutoff + 1):
-            if j - i in self.offsets and self.cross[i - 1][self.offsets.index(j - i)]:
-                out.append(i)
-        return tuple(sorted(out))
 
     def out_degree(self, i: int) -> int:
         return len(self.successors(i))

@@ -77,7 +77,7 @@ def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
         if card is None:
             cls.add(c)
         else:
-            start = g.class_start(c)
+            start = g.starts[c - 1]
             fin.update(range(start, start + card))
     return BoundaryPattern(frozenset(fin), frozenset(cls))
 
@@ -313,7 +313,7 @@ def fiber(model: MarkovModel, p: SpectrumPoint, at_level: int) -> tuple[Spectrum
     return tuple(out)
 
 
-def shift_point(p, from_level: Optional[int] = None):
+def shift_point(p):
     """Remove the first letter; level bookkeeping drops by one.  Accepts a
     spectrum point or a plain word tuple.  Points of word length 0 lie
     outside the shift's domain, and a full length-1 word is a level-0

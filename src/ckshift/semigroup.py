@@ -37,13 +37,6 @@ class Monomial(Value):
     def is_zero(self) -> bool:
         return self.h.is_empty
 
-    def pretty(self) -> str:
-        if self.is_zero:
-            return "0"
-        a = ",".join(map(str, self.alpha))
-        b = ",".join(map(str, self.beta))
-        return f"S(({a}), h@{self.h.level}, ({b}))"
-
 
 def zero(model: MarkovModel) -> Monomial:
     return Monomial(model, (), empty_clopen(model), ())

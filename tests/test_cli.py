@@ -160,9 +160,46 @@ class TestCkVerify:
             assert time.perf_counter() - start < 1.0, fmt
             assert (code, err) == (0, ""), fmt
         assert "CK2.status: pass\n" in outs["text"]
-        assert f"CK4.checked: {4 ** 7144}\n" in outs["text"]
-        rep = json.loads(outs["json"])
+        # main restores the limit on return, so the test's own conversions lift it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert f"CK4.checked: {4 ** 7144}\n" in outs["text"]
+            rep = json.loads(outs["json"])
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert rep["CK2"]["status"] == "pass" and rep["CK4"]["checked"] == 4 ** 7144
+
+    def test_main_restores_the_int_digit_limit(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"type":"block","classes":[{"card":3572},{"card":3572}],'
+                       '"block":[[1,1],[1,0]]}')
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            # a report past the default limit, then an input error
+            for path, code in ((big, 0), (tmp_path / "missing.json", 2)):
+                assert run(capsys, "ck-verify", "--input", str(path))[0] == code
+                assert sys.get_int_max_str_digits() == 5000, path
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_unknown_boundary_field_is_2(self, capsys):
+        code, out, err = run(capsys, "ck-verify", "--input", str(DATA / "golden_mean.json"),
+                             "--boundary", '[{"finte":[1]}]')
+        assert (code, out, err) == (2, "", "error: boundary[0]: unknown field 'finte'\n")
+
+    def test_depth_below_one_on_an_infinite_model_is_2(self, capsys, tmp_path):
+        path = tmp_path / "block.json"
+        path.write_text('{"type":"block","classes":[{"card":2},{"card":"inf"}],'
+                        '"block":[[1,1],[1,1]]}')
+        for depth in ("0", "-3"):
+            code, out, err = run(capsys, "ck-verify", "--input", str(path), "--depth", depth)
+            assert (code, out) == (2, ""), depth
+            assert err == f"error: --depth must be at least 1 on an infinite model, got {depth}\n"
+        # a finite model ignores --depth
+        finite = ("ck-verify", "--input", str(DATA / "golden_mean.json"))
+        assert run(capsys, *finite, "--depth", "-3") == run(capsys, *finite)
 
 
 class TestFreeness:
@@ -230,6 +267,13 @@ class TestSse:
         code, out, _ = run(capsys, "sse-verify", "--input", str(DATA / "cert_chain.json"),
                            "--format", "json")
         assert code == 0
+
+    def test_unknown_certificate_field_is_2(self, capsys, tmp_path):
+        # a misspelt "lag" used to fall back to lag 1 and report the pair invalid
+        path = tmp_path / "cert.json"
+        path.write_text('{"A":[[2]],"B":[[2]],"R":[[2]],"S":[[2]],"lagg":2}')
+        assert run(capsys, "sse-verify", "--input", str(path)) == (
+            2, "", "error: certificate: unknown field 'lagg'\n")
 
     def test_verify_bad(self, capsys):
         code, out, _ = run(capsys, "sse-verify", "--input", str(DATA / "cert_bad.json"),

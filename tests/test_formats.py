@@ -63,6 +63,15 @@ class TestBoundaryParsing:
         with pytest.raises(ValidationError, match=r"boundary\[0\]"):
             formats.parse_boundary(g, [17])
 
+    def test_unknown_field(self):
+        # a misspelt field is refused rather than read as the empty pattern
+        g = ck.FiniteGraph(((1, 1), (1, 0)))
+        with pytest.raises(ValidationError, match=r"^boundary\[0\]: unknown field 'finte'$"):
+            formats.parse_boundary(g, '[{"finte": [1]}]')
+        with pytest.raises(ValidationError, match=r"^boundary\[1\]: unknown field 'card'$"):
+            formats.parse_boundary(g, [{"finite": [1]}, {"classes": [], "card": 1}])
+        assert formats.parse_boundary(g, "[{}]") == frozenset({ck.make_pattern(g)})
+
     def test_model_roundtrip(self):
         model = formats.parse_model(
             '{"type":"finite","rows":[[1,1],[1,1]]}',
@@ -85,6 +94,20 @@ class TestCertificates:
     def test_bad_lag(self):
         with pytest.raises(ValidationError, match="lag"):
             formats.parse_certificate('{"A":[[2]],"B":[[2]],"R":[[2]],"S":[[1]],"lag":0}')
+
+    def test_unknown_field(self):
+        pair = '"A":[[2]],"B":[[2]],"R":[[2]],"S":[[2]]'
+        chain = '"A":[[2]],"B":[[2]],"chain":[{"R":[[2]],"S":[[1]]}]'
+        for text, message in (
+                ("{%s,\"lagg\":2}" % pair, "certificate: unknown field 'lagg'"),
+                ("{%s,\"lag\":2}" % chain, "certificate: unknown field 'lag'"),
+                ("{%s,\"R\":[[2]]}" % chain, "certificate: unknown field 'R'"),
+                ('{"A":[[2]],"B":[[2]],"chain":[{"R":[[2]],"S":[[1]],"lag":2}]}',
+                 "certificate.chain[0]: unknown field 'lag'")):
+            with pytest.raises(ValidationError) as info:
+                formats.parse_certificate(text)
+            assert str(info.value) == message, text
+        assert formats.parse_certificate("{%s,\"lag\":2}" % pair).lag == 2
 
     def test_ragged_matrix_diagnostic(self):
         with pytest.raises(ValidationError, match="certificate.A"):
