@@ -14,9 +14,8 @@ Certificates:
     {"A": ..., "B": ..., "chain": [{"R": ..., "S": ...}, ...]}
 
 Malformed input is rejected with the offending field named, and so is a
-pattern or certificate field not listed above.  JSON syntax errors keep
-their line/column diagnostics, and nesting too deep to decode is an input
-error like any other.
+field not listed above.  JSON syntax errors keep their line/column
+diagnostics, and nesting too deep to decode is an input error like any other.
 """
 
 from __future__ import annotations
@@ -51,6 +50,11 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def check_fields(obj: dict, fields: tuple[str, ...], path: str) -> None:
+    if unknown := [key for key in obj if key not in fields]:
+        raise _fail(path, f"unknown field {short_repr(unknown[0])}")
+
+
 def _int_rows(value, path: str) -> list[list[int]]:
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise _fail(path, "must be a list of rows")
@@ -65,9 +69,11 @@ def parse_graph(obj) -> GraphSpec:
         raise _fail("graph", "must be a JSON object")
     kind = _require(obj, "type", "graph")
     if kind == "finite":
+        check_fields(obj, ("type", "rows"), "graph")
         rows = _int_rows(_require(obj, "rows", "graph"), "graph.rows")
         return FiniteGraph(tuple(map(tuple, rows)))
     if kind == "block":
+        check_fields(obj, ("type", "classes", "block"), "graph")
         raw = _require(obj, "classes", "graph")
         if not isinstance(raw, list):
             raise _fail("graph.classes", "must be a list of {card: ...} objects")
@@ -76,6 +82,7 @@ def parse_graph(obj) -> GraphSpec:
             path = f"graph.classes[{k}]"
             if not isinstance(entry, dict):
                 raise _fail(path, "must be an object with a 'card' field")
+            check_fields(entry, ("card",), path)
             card = _require(entry, "card", path)
             if card == "inf":
                 sizes.append(None)
@@ -87,6 +94,7 @@ def parse_graph(obj) -> GraphSpec:
         block = _int_rows(_require(obj, "block", "graph"), "graph.block")
         return BlockPatternGraph(tuple(sizes), tuple(map(tuple, block)))
     if kind == "banded":
+        check_fields(obj, ("type", "prefix", "cutoff", "offsets", "cross"), "graph")
         prefix = _int_rows(_require(obj, "prefix", "graph"), "graph.prefix")
         cutoff = _require(obj, "cutoff", "graph")
         if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
@@ -113,8 +121,7 @@ def parse_boundary(g: GraphSpec, spec) -> frozenset[BoundaryPattern]:
         path = f"boundary[{k}]"
         if not isinstance(entry, dict):
             raise _fail(path, "must be an object with 'finite'/'classes' fields")
-        if unknown := [key for key in entry if key not in ("finite", "classes")]:
-            raise _fail(path, f"unknown field {short_repr(unknown[0])}")
+        check_fields(entry, ("finite", "classes"), path)
         finite = entry.get("finite", [])
         classes = entry.get("classes", [])
         if not isinstance(finite, list) or not isinstance(classes, list):
@@ -157,8 +164,7 @@ def parse_certificate(obj) -> Certificate:
     if not isinstance(obj, dict):
         raise _fail("certificate", "must be a JSON object")
     fields = ("A", "B", "chain") if "chain" in obj else ("A", "B", "R", "S", "lag")
-    if unknown := [key for key in obj if key not in fields]:
-        raise _fail("certificate", f"unknown field {short_repr(unknown[0])}")
+    check_fields(obj, fields, "certificate")
     A = parse_matrix(_require(obj, "A", "certificate"), "certificate.A")
     B = parse_matrix(_require(obj, "B", "certificate"), "certificate.B")
     if "chain" in obj:
@@ -170,8 +176,7 @@ def parse_certificate(obj) -> Certificate:
             path = f"certificate.chain[{k}]"
             if not isinstance(entry, dict):
                 raise _fail(path, "must be an object with 'R' and 'S'")
-            if unknown := [key for key in entry if key not in ("R", "S")]:
-                raise _fail(path, f"unknown field {short_repr(unknown[0])}")
+            check_fields(entry, ("R", "S"), path)
             pairs.append((parse_matrix(_require(entry, "R", path), path + ".R"),
                           parse_matrix(_require(entry, "S", path), path + ".S")))
         return Certificate(A, B, tuple(pairs), None)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import ckshift
 from ckshift import cli
-from ckshift.cli import build_parser, main
+from ckshift.cli import main
+from ckshift.errors import ValidationError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -25,6 +27,16 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     assert "internal error" not in out.err, out.err
     return code, out.out, out.err
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run ``main`` on a usage error: exit 2, no report and exactly one
+    ``error:`` line, which is returned."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, ""), (argv, out)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    return err
 
 
 class TestClassify:
@@ -217,6 +229,12 @@ class TestFreeness:
         viols = [e for e in json.loads(out)["pairs"] if e["violation"]]
         assert {"m": 0, "n": 2, "violation": True, "witness_cylinder": [1]} in viols
 
+    def test_depth_below_the_power_bound_is_2(self, capsys):
+        for depth in ("2", "-1"):
+            code, out, err = run(capsys, "essential-freeness", "--input",
+                                 str(DATA / "full2.json"), "--depth", depth)
+            assert (code, out, err) == (2, "", "error: --depth must be at least 3\n"), depth
+
 
 class TestPeriodic:
     def test_golden_counts(self, capsys):
@@ -274,6 +292,18 @@ class TestSse:
         path.write_text('{"A":[[2]],"B":[[2]],"R":[[2]],"S":[[2]],"lagg":2}')
         assert run(capsys, "sse-verify", "--input", str(path)) == (
             2, "", "error: certificate: unknown field 'lagg'\n")
+
+    @pytest.mark.parametrize("verb, text, field", (
+        ("invariants", '{"A":[[1,1],[1,0]],"B":5}', "input: unknown field 'B'"),
+        ("sse-search", '{"A":[[2]],"B":[[2]],"C":[[2]]}', "input: unknown field 'C'"),
+        ("invariants", '{"type":"finite","rows":[[1]],"A":[[1]]}', "graph: unknown field 'A'"),
+        ("classify", '{"type":"block","classes":[{"card":2,"cardd":5},{"card":"inf"}],'
+                     '"block":[[1,1],[1,1]]}', "graph.classes[0]: unknown field 'cardd'"),
+    ))
+    def test_unknown_input_field_is_2(self, verb, text, field, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert run(capsys, verb, "--input", str(path)) == (2, "", f"error: {field}\n")
 
     def test_verify_bad(self, capsys):
         code, out, _ = run(capsys, "sse-verify", "--input", str(DATA / "cert_bad.json"),
@@ -385,6 +415,10 @@ class TestRn:
         assert rep["num_classes"] == 4
         assert all(len(c) == 2 for c in rep["classes"])
 
+    def test_infinite_model_is_2(self, capsys):
+        code, out, err = run(capsys, "rn", "--input", str(DATA / "ray.json"))
+        assert (code, out, err) == (2, "", "error: rn needs a finite graph\n")
+
 
 class TestDeepAndLarge:
     """Inputs far beyond the interpreter's recursion depth and vertex
@@ -444,14 +478,11 @@ class TestDeepAndLarge:
 
 class TestContract:
     def test_usage_error_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify"])  # missing --input
-        assert exc.value.code == 2
+        assert usage_error(capsys, "classify") == "error: --input is required\n"
 
     def test_unknown_option_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--input", str(DATA / "full2.json"), "--bogus"])
-        assert exc.value.code == 2
+        err = usage_error(capsys, "classify", "--input", str(DATA / "full2.json"), "--bogus")
+        assert err == "error: unknown option '--bogus'\n"
 
     def test_parse_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -466,9 +497,8 @@ class TestContract:
         assert code == 2 and out == "" and "at least one vertex" in err
 
     def test_unknown_verb_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-verb", "--input", str(DATA / "full2.json")])
-        assert exc.value.code == 2
+        err = usage_error(capsys, "no-such-verb", "--input", str(DATA / "full2.json"))
+        assert err == "error: unknown verb 'no-such-verb'\n"
 
     def test_missing_file_is_2(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "/nonexistent.json")
@@ -596,11 +626,7 @@ class TestContract:
         assert (code, out, err) == (2, "", f"error: internal error: {message}\n")
 
     def test_parser_is_built_once(self, capsys):
-        assert build_parser() is build_parser()
-        with pytest.raises(SystemExit) as exc:
-            main(["classify"])  # a usage error leaves nothing behind in the parser
-        assert exc.value.code == 2
-        capsys.readouterr()
+        usage_error(capsys, "classify")  # a usage error leaves nothing behind
         for argv, golden in (
             (("classify", "--input", str(DATA / "golden_mean.json"),
               "--format", "json"), "golden_classify_expected.json"),
@@ -611,6 +637,108 @@ class TestContract:
             for _ in range(2):
                 _, out, _ = run(capsys, *argv)
                 assert out == (DATA / golden).read_text()
+
+
+# ---------------------------------------------------------------------------
+# The argv grammar against the argparse parser it replaced
+
+VERBS = tuple(cli._HANDLERS)
+FLAGS = ("--input", "--depth", "--max-period", "--entry-bound", "--inner-dim",
+         "--boundary", "--format")
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The parser ``cli`` used before its flag table, kept as the reference."""
+    parser = argparse.ArgumentParser(prog="ckshift")
+    parser.add_argument("verb", choices=VERBS)
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--depth", type=int, default=6)
+    parser.add_argument("--max-period", type=int, default=6, dest="max_period")
+    parser.add_argument("--entry-bound", type=int, default=3, dest="entry_bound")
+    parser.add_argument("--inner-dim", type=int, default=4, dest="inner_dim")
+    parser.add_argument("--boundary", default="auto")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
+
+
+ORACLE = argparse_oracle()
+JUNK = ("--bogus", "-x", "stray")
+WORDS = ("text", "json", "xml", "auto", '"all"', '[{"finite": [1]}]', "{}", "",
+         "-1.5", "-.5", "in.json")
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv over the exact vocabulary of the grammar: verbs, the seven flags
+    in both forms, integers, format names, JSON strings and junk."""
+    ints = st.integers(-12, 12).map(str)
+    anything = ints | st.sampled_from(WORDS + VERBS + FLAGS + JUNK)
+    argv = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("separate",) * 4 + ("equals",) * 3 + ("verb", "junk")))
+        flag = draw(st.sampled_from(FLAGS))
+        # a value the flag takes three times in four, else any token
+        fitting = {"--input": st.sampled_from(WORDS), "--boundary": st.sampled_from(WORDS),
+                   "--format": st.sampled_from(("text", "json"))}.get(flag, ints)
+        value = draw(fitting if draw(st.integers(0, 3)) else anything)
+        if kind == "separate":
+            argv += [flag, value]
+        elif kind == "equals":
+            argv.append(f"{flag}={value}")
+        else:
+            argv.append(draw(st.sampled_from(VERBS if kind == "verb" else JUNK)))
+    if draw(st.integers(0, 3)):  # most argvs a user types name one verb and an input
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(VERBS)))
+        argv[draw(st.integers(0, len(argv))):0] = ["--input", "in.json"]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(FLAGS)))  # a flag left without its value
+    return argv
+
+
+class TestArgvGrammar:
+    @settings(max_examples=1500, deadline=None)
+    @given(argv=cli_argvs())
+    def test_matches_argparse(self, argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = vars(ORACLE.parse_args(argv))
+            except SystemExit:
+                expected = None
+        try:
+            got = vars(cli.parse_args(argv))
+        except ValidationError:
+            got = None
+        assert got == expected, argv
+        if got is None:  # main reports the same usage error and raises nothing
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 2
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+    def test_forms(self):
+        args = cli.parse_args(["--format=json", "--depth", "-3", "--input=a=b.json",
+                               "--depth=4", "rn", "--boundary", "-1"])
+        assert vars(args) == {"verb": "rn", "input": "a=b.json", "depth": 4, "max_period": 6,
+                              "entry_bound": 3, "inner_dim": 4, "boundary": "-1",
+                              "format": "json"}
+
+    @pytest.mark.parametrize("argv, message", (
+        (("classify", "--inp", "x"), "unknown option '--inp'"),  # argparse took abbreviations
+        (("classify", "--input", "x", "--", "y"), "unknown option '--'"),
+        (("classify", "--input", "--depth", "3"), "--input needs a value"),
+        (("classify", "--input", "x", "--depth", "three"), "--depth: invalid value 'three'"),
+        (("classify", "--input", "x", "--format", "xml"), "--format: invalid value 'xml'"),
+        (("classify", "jset", "--input", "x"), "unexpected argument 'jset'"),
+        (("--input", "x"), "missing verb"),
+    ))
+    def test_usage_errors_name_the_token(self, argv, message, capsys):
+        assert usage_error(capsys, *argv) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", (("-h",), ("--help",), ("classify", "--bogus", "-h")))
+    def test_help(self, argv, capsys):
+        assert main(list(argv)) == 0
+        out, err = capsys.readouterr()
+        assert out == cli.USAGE + "\n" and out.startswith("usage: ckshift") and err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -726,10 +854,7 @@ def run_fuzzed(verb, obj, args, tmp_path_factory):
     path.write_text(json.dumps(obj))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([verb, "--input", str(path), *args])
-        except SystemExit as exc:
-            code = exc.code
+        code = main([verb, "--input", str(path), *args])
     assert code in (0, 1, 2), (obj, args, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), (obj, args, err.getvalue())

@@ -41,6 +41,20 @@ class TestGraphParsing:
         with pytest.raises(ValidationError, match="square"):
             formats.parse_graph('{"type":"finite","rows":[[0,1]]}')
 
+    def test_unknown_field(self):
+        # a field of another graph type, or a misspelt second copy, is refused
+        for text, message in (
+                ('{"type":"finite","rows":[[1]],"block":[[1]]}', "graph: unknown field 'block'"),
+                ('{"type":"block","classes":[{"card":2},{"card":"inf"}],"block":[[1,1],[1,1]],'
+                 '"blokc":[[0]]}', "graph: unknown field 'blokc'"),
+                ('{"type":"block","classes":[{"card":2,"cardd":5}],"block":[[1]]}',
+                 "graph.classes[0]: unknown field 'cardd'"),
+                ('{"type":"banded","prefix":[],"cutoff":0,"offsets":[1],"cross":[],"rows":[]}',
+                 "graph: unknown field 'rows'")):
+            with pytest.raises(ValidationError) as info:
+                formats.parse_graph(text)
+            assert str(info.value) == message, text
+
 
 class TestBoundaryParsing:
     def test_auto(self):

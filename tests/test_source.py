@@ -77,6 +77,10 @@ def test_import_loads_no_dataclasses_or_inspect():
     added = loaded("import ckshift, ckshift.cli") - loaded("pass")
     assert "ckshift.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+    # argv is parsed from a table, so not even a usage error loads argparse
+    # or, through it, gettext and locale
+    usage_error = loaded("import ckshift, ckshift.cli; ckshift.cli.main(['classify'])")
+    assert usage_error & {"argparse", "gettext", "locale"} == set()
 
 
 def test_clopen_and_semigroup_ask_graphs_not_presentations():
