@@ -168,15 +168,10 @@ def vertex_cylinder(model: MarkovModel, i: int) -> ClopenSet:
 
 def follower_set(model: MarkovModel, i: int) -> ClopenSet:
     """V_i: the shift image of U_i, the follower set {x : i.x admissible}."""
-    g = model.graph
-    if not valid_vertex(g, i):
+    if not valid_vertex(model.graph, i):
         raise ValidationError(f"unknown or unusable vertex {i}")
-    succ = g.successors(i)  # may raise for infinite rows
-    members: list[SpectrumPoint] = [full_point((j,)) for j in succ]
-    for pat in model.boundary_sorted():
-        if pat.contains(i, g):
-            members.append(truncated_point((), pat))
-    return _canonical(model, 0, members)
+    members = [full_point((j,)) for j in model.graph.successors(i)]  # may raise: infinite row
+    return _canonical(model, 0, members + [truncated_point((), pat) for pat in model.caps(i)])
 
 
 def base_sets(model: MarkovModel, i: int) -> tuple[ClopenSet, ClopenSet]:

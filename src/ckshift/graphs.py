@@ -16,9 +16,10 @@ here: the predicates, the zero rows (``zero_rows``) and the CK4 support
 each presentation is decided on its class digraph (``_class_digraph``),
 where a finite graph is its own class digraph of singleton classes and a
 block pattern's class digraph is ``block``, compiled once at
-construction.  Banded tails are decided by tail analysis; no predicate
-scans vertices.  Words are enumerated by one explicit-stack generator,
-``walks``.
+construction.  A banded tail's tail edges climb and never re-enter the
+prefix, so the reachability predicates decide it on a finite window, its
+``truncate``, by the same code.  Words are enumerated by one explicit-stack
+generator, ``walks``.
 """
 
 from __future__ import annotations
@@ -190,13 +191,18 @@ class BandedTailGraph(Value):
     """Finite ``cutoff`` x ``cutoff`` prefix, then an infinite tail where
     ``i -> j`` iff ``j - i`` is one of the ``offsets``.  ``cross[i][k]``
     switches on the edge from prefix vertex ``i`` to ``i + offsets[k]``
-    whenever that target lands in the tail.
+    whenever that target lands in the tail.  ``succ[i - 1]``, compiled at
+    construction, lists prefix vertex ``i``'s successors in increasing order.
     """
 
-    __slots__ = ("prefix", "cutoff", "offsets", "cross")
+    __slots__ = ("prefix", "cutoff", "offsets", "cross", "succ")
+    _fields = ("prefix", "cutoff", "offsets", "cross")
 
     def __init__(self, prefix: tuple[tuple[int, ...], ...], cutoff: int,
                  offsets: tuple[int, ...], cross: tuple[tuple[int, ...], ...]):
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+            raise ValidationError(
+                f"cutoff must be a nonnegative integer, got {short_repr(cutoff)}")
         prefix = _check_01_rows(prefix, "prefix")
         if len(prefix) != cutoff or any(len(r) != cutoff for r in prefix):
             raise ValidationError(
@@ -219,25 +225,23 @@ class BandedTailGraph(Value):
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "cross", cross)
+        object.__setattr__(self, "succ", tuple(
+            tuple(j for j, bit in enumerate(row, start=1) if bit)
+            + tuple(i + o for o, bit in zip(offs, out) if bit)
+            for i, (row, out) in enumerate(zip(prefix, cross), start=1)))
 
     def edge(self, i: int, j: int) -> bool:
         if i < 1 or j < 1:
             raise ValidationError("vertex ids are positive")
         if i <= self.cutoff:
-            if j <= self.cutoff:
-                return self.prefix[i - 1][j - 1] == 1
-            if (j - i) in self.offsets:
-                return self.cross[i - 1][self.offsets.index(j - i)] == 1
-            return False
+            return self.prefix[i - 1][j - 1] == 1 if j <= self.cutoff else j in self.succ[i - 1]
         return j > self.cutoff and (j - i) in self.offsets
 
     def successors(self, i: int) -> tuple[int, ...]:
+        if i < 1:
+            raise ValidationError("vertex ids are positive")
         if i <= self.cutoff:
-            out = [j + 1 for j, bit in enumerate(self.prefix[i - 1]) if bit]
-            for k, o in enumerate(self.offsets):
-                if self.cross[i - 1][k] and i + o > self.cutoff:
-                    out.append(i + o)
-            return tuple(sorted(out))
+            return self.succ[i - 1]
         return tuple(i + o for o in self.offsets)
 
     def out_degree(self, i: int) -> int:
@@ -247,9 +251,10 @@ class BandedTailGraph(Value):
         """Restriction to vertices 1..window as an explicit matrix."""
         if window < max(self.cutoff, 1):
             raise ValidationError("window must cover the prefix")
-        return FiniteGraph(tuple(
-            tuple(1 if self.edge(i, j) else 0 for j in range(1, window + 1))
-            for i in range(1, window + 1)))
+        outs = [set(self.succ[i - 1]) if i <= self.cutoff else {i + o for o in self.offsets}
+                for i in range(1, window + 1)]
+        return FiniteGraph(tuple(tuple(int(j in out) for j in range(1, window + 1))
+                                 for out in outs))
 
 
 GraphSpec = Union[FiniteGraph, BlockPatternGraph, BandedTailGraph]
@@ -399,10 +404,12 @@ def _class_digraph(g: Union[FiniteGraph, BlockPatternGraph]) -> tuple[
     singleton classes.  Adjacency in a block pattern depends only on the
     classes and no class is empty, so a path joins two vertices iff one
     joins their classes: the class digraph decides every block pattern,
-    finite or infinite."""
+    finite or infinite.  Any other object raises ``ValidationError``."""
     if isinstance(g, FiniteGraph):
         return g, range(1, g.size + 1), (1,) * g.size
-    return g.class_graph, g.starts, g.class_sizes
+    if isinstance(g, BlockPatternGraph):
+        return g.class_graph, g.starts, g.class_sizes
+    raise ValidationError(f"unknown graph presentation {type(g).__name__}")
 
 
 def zero_rows(g: GraphSpec) -> list[tuple[int, Optional[int]]]:
@@ -411,11 +418,8 @@ def zero_rows(g: GraphSpec) -> list[tuple[int, Optional[int]]]:
     A run is one class of the class digraph, or one prefix vertex or the
     whole tail of a banded tail."""
     if isinstance(g, BandedTailGraph):
-        runs: list[tuple[int, Optional[int]]] = [
-            (i, 1) for i in range(1, g.cutoff + 1) if not g.successors(i)]
-        if not g.offsets:
-            runs.append((g.cutoff + 1, None))  # every tail vertex has an empty row
-        return runs
+        tail = [] if g.offsets else [(g.cutoff + 1, None)]  # no offsets: empty tail rows
+        return [(i, 1) for i, out in enumerate(g.succ, start=1) if not out] + tail
     h, first, sizes = _class_digraph(g)
     return [(first[c], sizes[c]) for c, out in enumerate(h.succ) if not out]
 
@@ -495,22 +499,17 @@ def condition_l(g: GraphSpec) -> ConditionLVerdict:
     subgraph.  The witness, when the condition fails, is the
     lexicographically minimal exit-free loop.
     """
-    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
+    if isinstance(g, BandedTailGraph):
+        # Tail walks strictly increase, so exit-free cycles live in the prefix;
+        # a forced step into the tail leaves the map's key set and ends a walk.
+        step = {i: out[0] for i, out in enumerate(g.succ, start=1) if len(out) == 1}
+    else:
         # Only vertices of singleton classes can be revisited by a forced
         # walk, so cycles live in the class-level functional graph over
         # singleton out-degree-1 classes.
         h, first, sizes = _class_digraph(g)
         step = {first[c - 1]: first[out[0] - 1] for c, out in enumerate(h.succ, start=1)
                 if len(out) == 1 and sizes[c - 1] == 1 and sizes[out[0] - 1] == 1}
-    elif isinstance(g, BandedTailGraph):
-        # Tail walks strictly increase, so exit-free cycles live in the prefix.
-        step = {}
-        for i in range(1, g.cutoff + 1):
-            succ = g.successors(i)
-            if len(succ) == 1 and succ[0] <= g.cutoff:
-                step[i] = succ[0]
-    else:
-        raise ValidationError(f"unknown graph presentation {type(g).__name__}")
     cycles = _functional_cycles(step)
     if cycles:
         return ConditionLVerdict(False, _min_cycle_loop(cycles))
@@ -537,27 +536,19 @@ def _reach_sets(fin: FiniteGraph) -> dict[int, set[int]]:
 def irreducible_with_witness(g: GraphSpec) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff every ordered vertex pair (i, j) is joined by a path of
     length >= 1; otherwise the lexicographically first unjoined pair."""
-    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
-        h, first, _ = _class_digraph(g)
-        reach = _reach_sets(h)
-        for i in h.vertices():
-            for j in h.vertices():
-                if j not in reach[i]:
-                    return False, (first[i - 1], first[j - 1])
-        return True, None
     if isinstance(g, BandedTailGraph):
         # Tail edges strictly increase and nothing re-enters the prefix, so
         # a path ending at j never visits a vertex beyond max(cutoff, j):
-        # reachability below the window is exact in the truncation.
-        window = g.cutoff + 2 * (max(g.offsets) if g.offsets else 0) + 2
-        fin = g.truncate(window)
-        reach = _reach_sets(fin)
-        for i in range(1, window + 1):
-            for j in range(1, window + 1):
-                if j not in reach[i]:
-                    return False, (i, j)
-        raise AssertionError("a banded tail always has an unreachable pair")
-    raise ValidationError(f"unknown graph presentation {type(g).__name__}")
+        # reachability below the window is exact in the truncation.  Its last
+        # vertex is a tail vertex with no successor inside: never irreducible.
+        g = g.truncate(g.cutoff + 2 * max(g.offsets, default=0) + 2)
+    h, first, _ = _class_digraph(g)
+    reach = _reach_sets(h)
+    for i in h.vertices():
+        for j in h.vertices():
+            if j not in reach[i]:
+                return False, (first[i - 1], first[j - 1])
+    return True, None
 
 
 def is_irreducible(g: GraphSpec) -> bool:
@@ -567,23 +558,18 @@ def is_irreducible(g: GraphSpec) -> bool:
 def reaches_loop_with_witness(g: GraphSpec) -> tuple[bool, Optional[int]]:
     """True iff every vertex has a path to a vertex lying on some loop;
     otherwise the minimal vertex that reaches none."""
-    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
-        h, first, _ = _class_digraph(g)
-        reach = _reach_sets(h)
-        on_cycle = {i for i in h.vertices() if i in reach[i]}
-        for i in h.vertices():
-            if i not in on_cycle and not (reach[i] & on_cycle):
-                return False, first[i - 1]
-        return True, None
     if isinstance(g, BandedTailGraph):
         # Loops live in the prefix and no path comes back from the tail, so
-        # the prefix decides its own vertices; every tail vertex fails.
-        if g.cutoff:
-            ok, witness = reaches_loop_with_witness(FiniteGraph(g.prefix))
-            if not ok:
-                return False, witness
-        return False, g.cutoff + 1
-    raise ValidationError(f"unknown graph presentation {type(g).__name__}")
+        # no tail vertex reaches a loop; the window keeps one, cutoff + 1,
+        # as a dead end, and cross edges past it leave the window.
+        g = g.truncate(g.cutoff + 1)
+    h, first, _ = _class_digraph(g)
+    reach = _reach_sets(h)
+    on_cycle = {i for i in h.vertices() if i in reach[i]}
+    for i in h.vertices():
+        if i not in on_cycle and not (reach[i] & on_cycle):
+            return False, first[i - 1]
+    return True, None
 
 
 def every_vertex_reaches_loop(g: GraphSpec) -> bool:

@@ -19,10 +19,9 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
-from .graphs import (BandedTailGraph, BlockPatternGraph, FiniteGraph,
-                     GraphSpec, Loop, _class_digraph, finite_form,
-                     primitive_closed_walks, valid_vertex, vertex_count, walks,
-                     zero_rows)
+from .graphs import (BandedTailGraph, BlockPatternGraph, GraphSpec, Loop,
+                     _class_digraph, finite_form, primitive_closed_walks,
+                     valid_vertex, vertex_count, walks, zero_rows)
 from .value import Value
 
 
@@ -104,14 +103,12 @@ def cluster_patterns(g: GraphSpec) -> frozenset[BoundaryPattern]:
     column is a finite set marching off to infinity and only finitely many
     columns meet any window, so the empty pattern is the only cluster point.
     """
-    if isinstance(g, (FiniteGraph, BlockPatternGraph)):
-        h, _, sizes = _class_digraph(g)
-        if sizes[-1] is None:  # only the last class can be infinite
-            return frozenset({make_pattern(g, classes=h.pred[-1])})
-        return frozenset()
     if isinstance(g, BandedTailGraph):
         return frozenset({make_pattern(g)})
-    raise ValidationError(f"unknown graph presentation {type(g).__name__}")
+    h, _, sizes = _class_digraph(g)
+    if sizes[-1] is None:  # only the last class can be infinite
+        return frozenset({make_pattern(g, classes=h.pred[-1])})
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +133,10 @@ class MarkovModel(Value):
     def boundary_sorted(self) -> tuple[BoundaryPattern, ...]:
         """The family in ``sort_key`` order, sorted once at construction."""
         return self._sorted
+
+    def caps(self, v: int) -> list[BoundaryPattern]:
+        """The family's patterns that contain ``v``, in ``boundary_sorted()`` order."""
+        return [pat for pat in self._sorted if pat.contains(v, self.graph)]
 
 
 def validate_model(g: GraphSpec, boundary: Iterable[BoundaryPattern]) -> MarkovModel:
@@ -260,7 +261,7 @@ def spectrum_level(model: MarkovModel, n: int,
         return rows[v]
 
     fam = model.boundary_sorted()
-    caps = {v: [pat for pat in fam if pat.contains(v, g)] for v in starts} if fam else {}
+    caps = {v: model.caps(v) for v in starts} if fam else {}
     full: list[SpectrumPoint] = []
     layers: list[list[SpectrumPoint]] = [[] for _ in range(n + 1)]
     for word in walks(starts, extend, n + 1):
@@ -298,19 +299,15 @@ def fiber(model: MarkovModel, p: SpectrumPoint, at_level: int) -> tuple[Spectrum
         raise ValidationError(f"point {p.render()} is not a level-{at_level} point")
     if not p.is_full:
         return (p,)
-    g = model.graph
     last = p.word[-1]
     try:
-        succ = g.successors(last)
+        succ = model.graph.successors(last)
     except UnsupportedPresentationError:
         raise UnsupportedPresentationError(
             f"vertex {last} has infinitely many successors; "
             "the fiber is not finitely enumerable")
-    out = [full_point(p.word + (j,)) for j in succ]
-    for pat in model.boundary_sorted():
-        if pat.contains(last, g):
-            out.append(truncated_point(p.word, pat))
-    return tuple(out)
+    return tuple([full_point(p.word + (j,)) for j in succ]
+                 + [truncated_point(p.word, pat) for pat in model.caps(last)])
 
 
 def shift_point(p):

@@ -541,6 +541,17 @@ class TestContract:
             _, out, _ = run(capsys, *argv)
             assert out == (DATA / golden).read_text()
 
+    @pytest.mark.parametrize("graph, classify_code", (("banded", 1), ("block_inf", 0)))
+    def test_infinite_golden_files(self, capsys, graph, classify_code):
+        # a banded tail and an infinite block pattern, one report per verb
+        for verb, extra, code in (("classify", (), classify_code), ("jset", (), 0),
+                                  ("spectrum", ("--depth", "2"), 0),
+                                  ("ck-verify", ("--depth", "4"), 0)):
+            got = run(capsys, verb, "--input", str(DATA / f"{graph}.json"),
+                      "--format", "json", *extra)
+            golden = DATA / f"{graph}_{verb.replace('-', '_')}_expected.json"
+            assert got == (code, golden.read_text(), "")
+
     def test_no_floats_in_json(self, capsys):
         for verb, path in (("classify", "golden_mean.json"),
                            ("invariants", "mat3.json"),

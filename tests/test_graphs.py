@@ -9,6 +9,7 @@ import ckshift as ck
 from ckshift.errors import UnsupportedPresentationError, ValidationError
 from ckshift.graphs import (is_infinite, is_primitive, loop_has_outgoing_edge,
                             primitive_closed_walks, walks)
+from ckshift.pathspace import full_point
 
 from conftest import all_finite_graphs
 
@@ -140,6 +141,42 @@ def brute_reach(g):
     return closure
 
 
+def random_banded_tails(seed, count):
+    """Seeded banded tails with prefixes of 0..4 vertices and 0..3 offsets
+    below 5, with a wide window: it covers every cross edge and three more
+    vertices than the windows the predicates truncate to."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cutoff = rng.randint(0, 4)
+        offsets = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 3))))
+        density = rng.random()
+        prefix = tuple(tuple(int(rng.random() < density) for _ in range(cutoff))
+                       for _ in range(cutoff))
+        cross = tuple(tuple(rng.randint(0, 1) if i + o > cutoff else 0 for o in offsets)
+                      for i in range(1, cutoff + 1))
+        g = ck.BandedTailGraph(prefix, cutoff, offsets, cross)
+        yield g, cutoff + 2 * max(offsets, default=0) + 5
+
+
+class TestBandedConditionL:
+    def test_against_truncation_oracle(self):
+        # A loop without an exit is a cycle through v on which every vertex
+        # that v reaches has out-degree 1.  Cycles live in the prefix, and
+        # the window keeps every prefix vertex's out-degree.
+        for g, window in random_banded_tails(13, 300):
+            fin = g.truncate(window)
+            closure = brute_reach(fin)
+            forced = [sum(row) == 1 for row in fin.rows]
+            bad = [v + 1 for v in range(window) if closure[v][v]
+                   and all(forced[u] for u in range(window) if closure[v][u])]
+            verdict = ck.condition_l(g)
+            assert verdict.holds == (not bad), g
+            if bad:
+                loop = verdict.witness.vertices
+                assert loop[0] == min(bad) and set(loop) <= set(bad), g
+                assert not loop_has_outgoing_edge(g, verdict.witness), g
+
+
 class TestIrreducible:
     def test_examples(self):
         assert ck.is_irreducible(ck.FiniteGraph(((1, 1), (1, 0))))
@@ -152,6 +189,15 @@ class TestIrreducible:
                 closure = brute_reach(g)
                 expected = all(closure[i][j] for i in range(size) for j in range(size))
                 assert ck.is_irreducible(g) == expected, g.rows
+
+    def test_banded_against_truncation_oracle(self):
+        # paths below the window never leave it, so the first unjoined pair
+        # of a wider truncation is the banded tail's witness
+        for g, window in random_banded_tails(11, 300):
+            closure = brute_reach(g.truncate(window))
+            want = next((i + 1, j + 1) for i in range(window) for j in range(window)
+                        if not closure[i][j])
+            assert ck.graphs.irreducible_with_witness(g) == (False, want), g
 
     def test_infinite(self, ray, all_ones_infinite):
         assert ck.is_irreducible(all_ones_infinite)
@@ -426,6 +472,45 @@ class TestValidation:
     def test_banded_prefix_shape(self):
         with pytest.raises(ValidationError, match="prefix"):
             ck.BandedTailGraph(((0,),), 2, (1,), ((0,), (0,)))
+
+    @pytest.mark.parametrize("cutoff", (True, False, -1, 1.0, "1", None))
+    def test_banded_cutoff(self, cutoff):
+        # a bool cutoff used to pass as 0 or 1, and -1 asked for a -1x-1 prefix
+        prefix, cross = (((1,),), ((0,),)) if cutoff in (1, True) else ((), ())
+        with pytest.raises(ValidationError, match="cutoff must be a nonnegative integer"):
+            ck.BandedTailGraph(prefix, cutoff, (1,), cross)
+
+    def test_banded_compiles_successors(self):
+        g = ck.BandedTailGraph(((0, 1, 0), (1, 0, 1), (0, 0, 1)), 3, (2, 1),
+                               ((0, 0), (0, 1), (1, 1)))
+        assert g.succ == ((2,), (1, 3, 4), (3, 4, 5))
+        assert [g.successors(v) for v in (1, 2, 3, 4)] == [(2,), (1, 3, 4), (3, 4, 5), (5, 6)]
+        assert [j for j in range(1, 8) if g.edge(2, j)] == [1, 3, 4]
+        # the compiled rows stay out of equality, hashing and repr
+        h = ck.BandedTailGraph(g.prefix, 3, (1, 2), g.cross)
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert "succ" not in repr(g)
+
+    @pytest.mark.parametrize("v", (0, -3))
+    def test_nonpositive_vertex_has_no_successors(self, v):
+        # vertex 0 of a banded tail used to read the prefix's last row
+        for g in (ck.FiniteGraph(((1, 1), (1, 0))),
+                  ck.BlockPatternGraph((1, 1), ((1, 1), (1, 0))),
+                  ck.BandedTailGraph(((1, 1), (1, 0)), 2, (1,), ((0,), (1,)))):
+            with pytest.raises(ValidationError):
+                g.successors(v)
+            model = ck.dense_model(g)
+            with pytest.raises(ValidationError):
+                ck.pathspace.fiber(model, full_point((v,)), 0)
+
+    @pytest.mark.parametrize("ask", (
+        ck.graphs.zero_rows, ck.has_no_zero_rows, ck.condition_l,
+        ck.graphs.irreducible_with_witness, ck.graphs.reaches_loop_with_witness,
+        ck.cluster_patterns, lambda g: ck.graphs.ck4_support(g, (), ()),
+        lambda g: ck.graphs.ck4_support(g, (1,), (2,))))
+    def test_unknown_presentation(self, ask):
+        with pytest.raises(ValidationError, match="unknown graph presentation str"):
+            ask("not a graph")
 
     def test_empty(self):
         with pytest.raises(ValidationError, match="at least one vertex"):

@@ -363,6 +363,25 @@ class TestOneWalkSpectrum:
                                       key=lambda c: c[0].sort_key())
                         assert classes == want, (g.rows, family, n, k)
 
+    def test_caps_feed_fibers_and_follower_sets(self, all_ones_infinite):
+        banded = ck.BandedTailGraph(((1, 1), (0, 0)), 2, (1,), ((0,), (1,)))
+        block = ck.BlockPatternGraph((1, None), ((1, 1), (1, 0)))
+        for g, family in ((banded, [(), (2,), (1, 2), (2, 5)]),
+                          (block, [(), (1,)]), (all_ones_infinite, [])):
+            model = ck.validate_model(g, ck.cluster_patterns(g) | {
+                ck.make_pattern(g, finite=f) for f in family})
+            for v in range(1, 7):
+                want = [p for p in model.boundary_sorted() if p.contains(v, g)]
+                assert model.caps(v) == want, (g, v)
+                try:
+                    succ = g.successors(v)
+                except UnsupportedPresentationError:
+                    continue  # an infinite row has no finite fiber
+                assert fiber(model, full_point((v,)), 0) == tuple(
+                    [full_point((v, j)) for j in succ] + [truncated_point((v,), p) for p in want])
+                assert ck.follower_set(model, v).members == frozenset(
+                    [full_point((j,)) for j in succ] + [truncated_point((), p) for p in want])
+
 
 class TestDeepOneVertexLoop:
     """Word lengths far past the interpreter's recursion limit."""

@@ -22,6 +22,7 @@ VALUE_CLASSES = sorted((obj for m in MODULES for obj in vars(m).values()
 DERIVED = {
     "FiniteGraph": ("succ", "pred"),
     "BlockPatternGraph": ("starts", "class_graph", "_finite"),
+    "BandedTailGraph": ("succ",),
     "MarkovModel": ("_sorted",),
     "ConjugacyPair": ("alpha_inv", "beta_inv"),
 }
