@@ -44,7 +44,8 @@ def _json(value, newline: str = "\n") -> str:
     six types a report holds: dicts with str keys, lists, str, int, bool and
     None.  Any other type raises ``TypeError`` rather than print something
     ``json.dumps`` would have printed differently (a tuple, a float, an int
-    key).  The stdlib encoder is pure Python whenever ``indent`` is set."""
+    key).  The stdlib encoder is pure Python whenever ``indent`` is set, so
+    this one writes lists in bulk where their items allow (``_items``)."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -65,8 +66,39 @@ def _json(value, newline: str = "\n") -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
                  for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    items = [_json(v, inner) for v in value]
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return "[" + inner + ("," + inner).join(_items(value, inner)) + newline + "]"
+
+
+def _items(values: list, newline: str):
+    """The JSON texts of a nonempty list's items, to follow ``newline``: one
+    ``map`` if all are str or all int (not bool), ``_records`` for two or more
+    dicts with one key set, else ``_json`` on each (a float or tuple raises)."""
+    kind = type(values[0])
+    for v in values:
+        if type(v) is not kind:
+            break
+    else:
+        if kind is str:
+            return map(encode_basestring_ascii, values)
+        if kind is int:
+            return map(int.__repr__, values)
+        keys = values[0].keys() if kind is dict and len(values) > 1 else None
+        if keys and all(map(keys.__eq__, map(dict.keys, values))):
+            return _records(values, newline)
+    return [_json(v, newline) for v in values]
+
+
+def _records(values: list, newline: str) -> list:
+    """Dicts with one nonempty key set: keys sorted and encoded once, and each
+    key's values across the records written as one list's items."""
+    if set(map(type, values[0])) != {str}:
+        raise TypeError("report keys must be str")
+    keys = sorted(values[0])
+    field = newline + "  "
+    heads = [("," if i else "{") + field + encode_basestring_ascii(k) + ": "
+             for i, k in enumerate(keys)]
+    columns = [_items([record[k] for record in values], field) for k in keys]
+    return ["".join(map(str.__add__, heads, row)) + newline + "}" for row in zip(*columns)]
 
 
 def _emit(report: dict, fmt: str, out) -> None:

@@ -19,9 +19,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import UnsupportedPresentationError, ValidationError
 from .graphs import ck4_support, is_infinite, valid_vertex
-from .pathspace import (MarkovModel, SpectrumPoint, fiber,
-                        full_point, point_valid_at, project_point,
-                        spectrum_level, truncated_point, word_admissible)
+from .pathspace import (MarkovModel, SpectrumPoint, fiber, point_valid_at,
+                        project_point, spectrum_level, word_admissible)
 from .value import Value
 
 
@@ -155,7 +154,7 @@ def cylinder(model: MarkovModel, word: Sequence[int]) -> ClopenSet:
         return full_space(model)
     if not word_admissible(model.graph, word):
         return empty_clopen(model)
-    return _canonical(model, len(word) - 1, [full_point(word)])
+    return _canonical(model, len(word) - 1, [SpectrumPoint(word)])
 
 
 def vertex_cylinder(model: MarkovModel, i: int) -> ClopenSet:
@@ -170,8 +169,8 @@ def follower_set(model: MarkovModel, i: int) -> ClopenSet:
     """V_i: the shift image of U_i, the follower set {x : i.x admissible}."""
     if not valid_vertex(model.graph, i):
         raise ValidationError(f"unknown or unusable vertex {i}")
-    members = [full_point((j,)) for j in model.graph.successors(i)]  # may raise: infinite row
-    return _canonical(model, 0, members + [truncated_point((), pat) for pat in model.caps(i)])
+    members = [SpectrumPoint((j,)) for j in model.graph.successors(i)]  # may raise: infinite row
+    return _canonical(model, 0, members + [SpectrumPoint((), pat) for pat in model.caps(i)])
 
 
 def base_sets(model: MarkovModel, i: int) -> tuple[ClopenSet, ClopenSet]:
@@ -258,5 +257,5 @@ def ck4_identity(model: MarkovModel, E: Iterable[int], F: Iterable[int]) -> Ck4R
     for pat in model.boundary_sorted():
         if all(pat.contains(j, g) for j in E) and \
                 not any(pat.contains(k, g) for k in F):
-            return Ck4Result(CK4_FAILS, witness=truncated_point((), pat), support=support)
+            return Ck4Result(CK4_FAILS, witness=SpectrumPoint((), pat), support=support)
     return Ck4Result(CK4_HOLDS, support=support)

@@ -15,6 +15,7 @@ words and preperiod prefixes come from ``graphs.walks``.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +26,13 @@ from .graphs import (BandedTailGraph, BlockPatternGraph, GraphSpec, Loop,
 from .value import Value
 
 
+def _require_ints(**values) -> None:
+    """Reject a bool or any other non-int given for an integer argument."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValidationError(f"{name} must be an integer, got {short_repr(value)}")
+
+
 # ---------------------------------------------------------------------------
 # Boundary patterns
 
@@ -33,7 +41,14 @@ class BoundaryPattern(Value):
     for block-pattern graphs, whole infinite classes.  Construct through
     :func:`make_pattern` so equal subsets get equal representations."""
 
-    __slots__ = ("finite", "classes")
+    __slots__ = ("finite", "classes", "_text")
+    _fields = ("finite", "classes")
+
+    def __init__(self, finite: frozenset[int], classes: frozenset[int]):
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "classes", classes)
+        parts = [str(v) for v in sorted(finite)] + [f"c{c}" for c in sorted(classes)]
+        object.__setattr__(self, "_text", "{" + ",".join(parts) + "}")
 
     @property
     def is_empty(self) -> bool:
@@ -49,9 +64,7 @@ class BoundaryPattern(Value):
         return (tuple(sorted(self.finite)), tuple(sorted(self.classes)))
 
     def render(self) -> str:
-        parts = [str(v) for v in sorted(self.finite)]
-        parts += [f"c{c}" for c in sorted(self.classes)]
-        return "{" + ",".join(parts) + "}"
+        return self._text
 
 
 def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
@@ -197,24 +210,37 @@ class SpectrumPoint(Value):
         return (1, -len(self.word), self.word, self.boundary.sort_key())
 
     def render(self) -> str:
-        word = ",".join(map(str, self.word))
-        if self.boundary is None:
-            return word
-        return f"{word};{self.boundary.render()}"
+        word = _WORD_FORMAT[len(self.word)] % self.word
+        return word if self.boundary is None else f"{word};{self.boundary._text}"
 
     def pretty(self) -> str:
-        if self.boundary is None:
-            return "(" + ",".join(map(str, self.word)) + ")"
-        word = ",".join(map(str, self.word)) if self.word else "∅"
-        return f"({word};{self.boundary.render()})"
+        text = self.render()
+        return f"(∅{text})" if text.startswith(";") else f"({text})"
+
+
+class _WordFormats(dict):
+    """``"%d,...,%d"`` by word length; letters are ints, which ``%d`` writes as str does."""
+
+    def __missing__(self, length: int) -> str:
+        text = self[length] = ",".join(["%d"] * length)
+        return text
+
+
+_WORD_FORMAT = _WordFormats()
 
 
 def full_point(word: Sequence[int]) -> SpectrumPoint:
-    return SpectrumPoint(tuple(word), None)
+    """The full point on ``word``, whose letters must be ints; whether it is
+    a path is the model's question (``word_admissible``, ``make_clopen``)."""
+    word = tuple(word)
+    for v in word:
+        if type(v) is not int:  # not bool, nor an int subclass with its own str
+            raise ValidationError(f"letters are integers, got {short_repr(v)}")
+    return SpectrumPoint(word)
 
 
 def truncated_point(word: Sequence[int], pattern: BoundaryPattern) -> SpectrumPoint:
-    return SpectrumPoint(tuple(word), pattern)
+    return SpectrumPoint(full_point(word).word, pattern)
 
 
 def point_valid_at(p: SpectrumPoint, level: int) -> bool:
@@ -241,6 +267,7 @@ def spectrum_level(model: MarkovModel, n: int,
     ``walks`` is lexicographic as successors ascend, and caps follow
     ``boundary_sorted()``.  For infinite graphs a window must be supplied;
     the result is the window-restricted sub-spectrum, flagged partial."""
+    _require_ints(level=n)
     if n < 0:
         raise ValidationError("level must be nonnegative")
     g = model.graph
@@ -285,9 +312,9 @@ def project_point(p: SpectrumPoint, from_level: int) -> SpectrumPoint:
     if not point_valid_at(p, from_level):
         raise ValidationError(f"point {p.render()} is not a level-{from_level} point")
     if p.is_full:
-        return full_point(p.word[:-1])
+        return SpectrumPoint(p.word[:-1])
     if len(p.word) == from_level:
-        return full_point(p.word)
+        return SpectrumPoint(p.word)
     return p
 
 
@@ -306,8 +333,8 @@ def fiber(model: MarkovModel, p: SpectrumPoint, at_level: int) -> tuple[Spectrum
         raise UnsupportedPresentationError(
             f"vertex {last} has infinitely many successors; "
             "the fiber is not finitely enumerable")
-    return tuple([full_point(p.word + (j,)) for j in succ]
-                 + [truncated_point(p.word, pat) for pat in model.caps(last)])
+    return tuple([SpectrumPoint(p.word + (j,)) for j in succ]
+                 + [SpectrumPoint(p.word, pat) for pat in model.caps(last)])
 
 
 def shift_point(p):
@@ -325,7 +352,7 @@ def shift_point(p):
         if len(p.word) == 1:
             raise DomainError(
                 "a level-0 full path shifts onto a follower set, not a cylinder")
-        return full_point(p.word[1:])
+        return SpectrumPoint(p.word[1:])
     return SpectrumPoint(p.word[1:], p.boundary)
 
 
@@ -340,14 +367,29 @@ class PeriodicPointRecord(Value):
 
 
 class PeriodicScan(Value):
-    __slots__ = ("records", "max_period", "max_preperiod")
+    """A scan's records, with strict counts by divisor compiled at construction:
+    each preperiod-0 period is counted at its multiples up to P = max_period,
+    O(records + P log P); without such records (no cycle) no table is kept."""
+
+    __slots__ = ("records", "max_period", "max_preperiod", "_dividing")
+    _fields = ("records", "max_period", "max_preperiod")
+
+    def __init__(self, records: tuple, max_period: int, max_preperiod: int):
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "max_period", max_period)
+        object.__setattr__(self, "max_preperiod", max_preperiod)
+        periods = collections.Counter(r.period for r in records if r.preperiod == 0)
+        dividing = [0] * (max_period + 1) if periods else []
+        for p, count in periods.items():
+            dividing[p::p] = [c + count for c in dividing[p::p]]
+        object.__setattr__(self, "_dividing", dividing)
 
     def strict_count_dividing(self, k: int) -> int:
         """Number of strictly periodic points whose minimal period divides k."""
-        if k < 1 or k > self.max_period:
-            raise ValidationError(f"k must lie in 1..{self.max_period}")
-        return sum(1 for r in self.records
-                   if r.preperiod == 0 and k % r.period == 0)
+        if type(k) is not int or not 1 <= k <= self.max_period:
+            raise ValidationError(
+                f"k must be an integer in 1..{self.max_period}, got {short_repr(k)}")
+        return self._dividing[k] if self._dividing else 0
 
 
 def periodic_points(model: MarkovModel, max_period: int,
@@ -359,6 +401,7 @@ def periodic_points(model: MarkovModel, max_period: int,
     fin = finite_form(model.graph)
     if fin is None:
         raise UnsupportedPresentationError("periodic-point search needs a finite graph")
+    _require_ints(max_period=max_period, max_preperiod=max_preperiod)
     if max_period < 1:
         raise ValidationError("max_period must be >= 1")
     if max_preperiod < 0:
@@ -436,10 +479,18 @@ def essential_freeness_scan(model: MarkovModel, m0: int, n0: int,
     is a bounded, word-level shadow of essential freeness: truncated
     boundary points are not consulted, and the unbounded statement is
     settled by condition (L).
+
+    Agreeing words come in closed form.  Let m0 < n0, d = n0 - m0, full =
+    depth + d >= n0 + d.  A word e of length full agrees iff e[i] = e[i-d]
+    for n0 <= i < full, iff (i - d >= m0; induct on i) e is u = e[:n0] then
+    u[m0:] repeated.  It is admissible iff u is and u[-1] -> u[m0] is an
+    edge: for i > n0, (e[i-1], e[i]) = (e[i-d-1], e[i-d]) is an edge of u if
+    i - d < n0, else an earlier tail pair.  So walks stop at length n0.
     """
     fin = finite_form(model.graph)
     if fin is None:
         raise UnsupportedPresentationError("the freeness scan needs a finite graph")
+    _require_ints(m0=m0, n0=n0, depth=depth)
     if m0 == n0 or m0 < 0 or n0 < 0:
         raise ValidationError("the two shift powers must be distinct naturals")
     m0, n0 = min(m0, n0), max(m0, n0)
@@ -455,16 +506,10 @@ def essential_freeness_scan(model: MarkovModel, m0: int, n0: int,
         prev = ext[-1]
         ext.append([0] + [sum(prev[j] for j in succ[v - 1]) for v in range(1, n + 1)])
 
-    # Words of length `full` in which every checkable coordinate pair
-    # agrees: positions >= n0 are forced to repeat the letter d earlier.
-    def grow(word: list[int]) -> Iterable[int]:
-        pos = len(word)
-        if pos >= n0:
-            forced = word[pos - d]
-            return (forced,) if rows[word[-1] - 1][forced - 1] else ()
-        return succ[word[-1] - 1]
-
-    agreeing = [tuple(w) for w in walks(fin.vertices(), grow, full) if len(w) == full]
+    reps = -(-(full - n0) // d)
+    agreeing = [u + (u[m0:] * reps)[:full - n0]
+                for u in map(tuple, walks(fin.vertices(), lambda w: succ[w[-1] - 1], n0))
+                if len(u) == n0 and rows[u[-1] - 1][u[m0] - 1]]
     # The walk order is lexicographic, so the agreeing words under one
     # prefix are consecutive and prefixes of one length come in order.
     for ln in range(1, depth + 1):

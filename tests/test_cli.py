@@ -537,6 +537,11 @@ class TestContract:
             (("periodic", "--input", str(DATA / "two_cycle.json"),
               "--max-period", "3", "--format", "json"),
              "golden_periodic_expected.json"),
+            (("spectrum", "--input", str(DATA / "golden_mean.json"), "--depth", "3",
+              "--boundary", '[{"finite":[1,2]}]', "--format", "json"),
+             "golden_spectrum_expected.json"),
+            (("essential-freeness", "--input", str(DATA / "golden_mean.json"),
+              "--depth", "4", "--format", "json"), "golden_essential_freeness_expected.json"),
         ):
             _, out, _ = run(capsys, *argv)
             assert out == (DATA / golden).read_text()
@@ -755,15 +760,36 @@ class TestArgvGrammar:
 # ---------------------------------------------------------------------------
 # The JSON report encoder against json.dumps
 
+TEXT = st.text(st.characters(exclude_categories=()))  # controls, surrogates, non-BMP
+INTS = st.integers() | st.integers(-(10 ** 80), 10 ** 80)
+
+
+@st.composite
+def record_lists(draw, values):
+    """A list of dicts with one key set, as the encoder writes in bulk, or
+    with one dict given an extra key or short of one."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    records = [{k: draw(values) for k in keys} for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        record = draw(st.sampled_from(records))
+        key = draw(st.sampled_from(keys) | TEXT)
+        if key in record:
+            del record[key]
+        else:
+            record[key] = draw(values)
+    return records
+
+
 def report_values(depth):
-    text = st.text(st.characters(exclude_categories=()))  # controls, surrogates, non-BMP
-    ints = st.integers() | st.integers(-(10 ** 80), 10 ** 80)
-    leaves = st.none() | st.booleans() | ints | text
+    leaves = st.none() | st.booleans() | INTS | TEXT
     if depth == 0:
         return leaves
     inner = report_values(depth - 1)
-    return (leaves | st.lists(inner, max_size=4) | st.lists(ints, max_size=6)
-            | st.lists(text, max_size=6) | st.dictionaries(text, inner, max_size=4))
+    fields = leaves | st.lists(INTS, max_size=4) | inner
+    return (leaves | st.lists(inner, max_size=4) | st.lists(INTS, max_size=6)
+            | st.lists(TEXT, max_size=6) | st.dictionaries(TEXT, inner, max_size=4)
+            | record_lists(fields) | st.lists(inner, min_size=1, max_size=1)
+            | st.lists(leaves | st.lists(INTS, max_size=2), min_size=2, max_size=5))
 
 
 class TestJsonEmitter:
@@ -772,7 +798,9 @@ class TestJsonEmitter:
     def test_matches_json_dumps(self, value):
         assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("value", [1.5, {"a": (1, 2)}, {1: "a"}, [1, 2.0], {"a": {"b": 0.0}}])
+    @pytest.mark.parametrize("value", [1.5, {"a": (1, 2)}, {1: "a"}, [1, 2.0], {"a": {"b": 0.0}},
+                                       [{"a": 1}, {"a": 1.5}], [{"a": [1]}, {"a": (1,)}],
+                                       [{"a": [1, 2.0]}, {"a": []}], [{1: "a"}, {1: "b"}]])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             cli._json(value)

@@ -218,6 +218,35 @@ class TestSpectrum:
         with pytest.raises(ValidationError):
             ck.project_point(full_point((1,)), 0)  # no level below 0
 
+    def test_points_take_int_letters_only(self, toeplitz_model):
+        # "%d" writes every letter of a point as str does
+        (pat,) = toeplitz_model.boundary
+        for word in ((True, 2), (1, 2.0), ("1",), (1, None)):
+            with pytest.raises(ValidationError, match="letters are integers"):
+                full_point(word)
+            with pytest.raises(ValidationError, match="letters are integers"):
+                truncated_point(word, pat)
+        assert full_point([1, 2]).render() == "1,2" and full_point(()).pretty() == "()"
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: ck.spectrum_level(m, True),
+    lambda m: ck.spectrum_level(m, 1.0),
+    lambda m: ck.periodic_points(m, 2.0, 0),
+    lambda m: ck.periodic_points(m, True, 0),
+    lambda m: ck.periodic_points(m, 2, False),
+    lambda m: ck.essential_freeness_scan(m, 0, 1, True),
+    lambda m: ck.essential_freeness_scan(m, 0, 1, 3.0),
+    lambda m: ck.essential_freeness_scan(m, False, 1, 3),
+    lambda m: ck.essential_freeness_scan(m, 0, "1", 3),
+    lambda m: ck.periodic_points(m, 2, 0).strict_count_dividing(2.0),
+    lambda m: ck.periodic_points(m, 2, 0).strict_count_dividing("2"),
+    lambda m: ck.periodic_points(m, 2, 0).strict_count_dividing(True),
+])
+def test_integer_arguments_reject_bools_and_non_ints(call, golden_model):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(golden_model)
+
 
 def brute_words(g, length, vertices):
     """Oracle: every vertex tuple of the length, filtered by the edges."""
@@ -530,6 +559,21 @@ class TestPeriodicPoints:
             for k in range(1, 7):
                 assert scan.strict_count_dividing(k) == counts[k]
 
+    def test_strict_counts_match_per_record_count(self):
+        # the compiled period histogram against a scan of every record per k
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                model = ck.validate_model(g, [ck.full_pattern(g)])
+                scan = ck.periodic_points(model, 6, 2)
+                for k in range(1, 7):
+                    assert scan.strict_count_dividing(k) == sum(
+                        1 for r in scan.records if r.preperiod == 0 and k % r.period == 0)
+                with pytest.raises(ValidationError, match=r"integer in 1\.\.6, got 7"):
+                    scan.strict_count_dividing(7)
+        acyclic = ck.FiniteGraph(((0, 1), (0, 0)))
+        scan = ck.periodic_points(ck.validate_model(acyclic, [ck.full_pattern(acyclic)]), 50, 0)
+        assert scan.records == () and scan.strict_count_dividing(50) == 0
+
     def test_isolated_matches_loop_exits(self):
         # the out-degree table agrees with the letter-by-letter exit check
         for g in all_finite_graphs(3):
@@ -599,7 +643,51 @@ def brute_freeness_scan(model, m0, n0, depth):
     return False, None
 
 
+def freeness_oracle(model, m0, n0, depth):
+    """Oracle: the scan that walked each agreeing word letter by letter,
+    every letter at or past position n0 forced to repeat the one d back."""
+    fin = finite_form(model.graph)
+    m0, n0 = min(m0, n0), max(m0, n0)
+    d = n0 - m0
+    full = depth + d
+    n, succ, rows = fin.size, fin.succ, fin.rows
+    ext = [[1] * (n + 1)]
+    for _ in range(full):
+        prev = ext[-1]
+        ext.append([0] + [sum(prev[j] for j in succ[v - 1]) for v in range(1, n + 1)])
+
+    def grow(word):
+        pos = len(word)
+        if pos >= n0:
+            forced = word[pos - d]
+            return (forced,) if rows[word[-1] - 1][forced - 1] else ()
+        return succ[word[-1] - 1]
+
+    agreeing = [tuple(w) for w in walks(fin.vertices(), grow, full) if len(w) == full]
+    for ln in range(1, depth + 1):
+        for pre, group in itertools.groupby(agreeing, key=lambda w: w[:ln]):
+            if sum(1 for _ in group) == ext[full - ln][pre[-1]]:
+                return True, pre
+    return False, None
+
+
 class TestEssentialFreeness:
+    def test_matches_letter_by_letter_scan_exhaustive(self):
+        # every graph on 1-3 vertices, zero rows included, every pair of
+        # shift powers up to 4 and every depth from n0 to 8
+        scans = 0
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                model = ck.validate_model(g, [ck.full_pattern(g)])
+                for n0 in range(1, 5):
+                    for m0 in range(n0):
+                        for depth in range(n0, 9):
+                            got = ck.essential_freeness_scan(model, m0, n0, depth)
+                            assert (got.violation_found, got.witness) == \
+                                freeness_oracle(model, m0, n0, depth), (g.rows, m0, n0, depth)
+                            scans += 1
+        assert scans == 31800
+
     def test_full_shift_free(self, full2_model):
         res = ck.essential_freeness_scan(full2_model, 0, 1, 4)
         assert not res.violation_found

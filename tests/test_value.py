@@ -23,7 +23,9 @@ DERIVED = {
     "FiniteGraph": ("succ", "pred"),
     "BlockPatternGraph": ("starts", "class_graph", "_finite"),
     "BandedTailGraph": ("succ",),
+    "BoundaryPattern": ("_text",),
     "MarkovModel": ("_sorted",),
+    "PeriodicScan": ("_dividing",),
     "ConjugacyPair": ("alpha_inv", "beta_inv"),
 }
 
