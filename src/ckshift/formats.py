@@ -5,6 +5,9 @@ Graph files:
     {"type": "block",  "classes": [{"card": 2}, {"card": "inf"}], "block": [[1,0],[1,1]]}
     {"type": "banded", "prefix": [], "cutoff": 0, "offsets": [1], "cross": []}
 
+A banded ``cross`` has one column per distinct offset, in increasing order:
+with offsets [2, 1], cross [[1, 0]] switches on the edge 1 -> 2.
+
 Boundary families:
     "auto"                               (exactly the cluster patterns)
     [{"finite": [1,2], "classes": []}, ...]

@@ -16,10 +16,11 @@ here: the predicates, the zero rows (``zero_rows``) and the CK4 support
 each presentation is decided on its class digraph (``_class_digraph``),
 where a finite graph is its own class digraph of singleton classes and a
 block pattern's class digraph is ``block``, compiled once at
-construction.  A banded tail's tail edges climb and never re-enter the
-prefix, so the reachability predicates decide it on a finite window, its
-``truncate``, by the same code.  Words are enumerated by one explicit-stack
-generator, ``walks``.
+construction, and the loop predicates read one bit-row closure of it,
+``_closure``.  A banded tail's tail edges climb and never re-enter the
+prefix, so the predicates decide it on a finite window, its ``truncate``,
+by the same code.  Words are enumerated by one explicit-stack generator,
+``walks``.
 """
 
 from __future__ import annotations
@@ -189,8 +190,9 @@ class BlockPatternGraph(Value):
 
 class BandedTailGraph(Value):
     """Finite ``cutoff`` x ``cutoff`` prefix, then an infinite tail where
-    ``i -> j`` iff ``j - i`` is one of the ``offsets``.  ``cross[i][k]``
-    switches on the edge from prefix vertex ``i`` to ``i + offsets[k]``
+    ``i -> j`` iff ``j - i`` is one of the ``offsets``, kept distinct and
+    increasing whatever the input order.  ``cross[i][k]`` switches on the
+    edge from prefix vertex ``i`` to ``i + offsets[k]`` in that kept order
     whenever that target lands in the tail.  ``succ[i - 1]``, compiled at
     construction, lists prefix vertex ``i``'s successors in increasing order.
     """
@@ -214,7 +216,8 @@ class BandedTailGraph(Value):
         cross = _check_01_rows(cross, "cross")
         if len(cross) != cutoff or any(len(r) != len(offs) for r in cross):
             raise ValidationError(
-                f"cross must be {cutoff}x{len(offs)} (one column per offset)")
+                f"cross must be {cutoff}x{len(offs)} "
+                "(one column per distinct offset, in increasing order)")
         for i, row in enumerate(cross, start=1):
             for k, bit in enumerate(row):
                 if bit and i + offs[k] <= cutoff:
@@ -249,8 +252,9 @@ class BandedTailGraph(Value):
 
     def truncate(self, window: int) -> FiniteGraph:
         """Restriction to vertices 1..window as an explicit matrix."""
-        if window < max(self.cutoff, 1):
-            raise ValidationError("window must cover the prefix")
+        if type(window) is not int or window < max(self.cutoff, 1):
+            raise ValidationError(
+                f"window must be an integer covering the prefix, got {short_repr(window)}")
         outs = [set(self.succ[i - 1]) if i <= self.cutoff else {i + o for o in self.offsets}
                 for i in range(1, window + 1)]
         return FiniteGraph(tuple(tuple(int(j in out) for j in range(1, window + 1))
@@ -455,25 +459,15 @@ def ck4_support(g: GraphSpec, E: Sequence[int], F: Sequence[int]) -> Optional[fr
     return frozenset(support)
 
 
-def _functional_cycles(step: dict[int, int]) -> list[list[int]]:
-    """Cycles of the partial map ``step`` restricted to its key set."""
-    cycles = []
-    state: dict[int, int] = {}  # 0 = on current walk, 1 = finished
-    for start in sorted(step):
-        if state.get(start) == 1:
-            continue
-        walk, index = [], {}
-        v = start
-        while v in step and v not in index and state.get(v) != 1:
-            index[v] = len(walk)
-            walk.append(v)
-            state[v] = 0
-            v = step[v]
-        if v in index:
-            cycles.append(walk[index[v]:])
-        for u in walk:
-            state[u] = 1
-    return cycles
+def _closure(h: FiniteGraph) -> list[int]:
+    """Warshall's closure over int bit rows: bit ``j - 1`` of ``reach[i - 1]``
+    is set iff a path of length >= 1 leads from vertex ``i`` to vertex ``j``."""
+    reach = [sum(1 << (j - 1) for j in out) for out in h.succ]
+    for k, into in enumerate(h.pred):
+        bit, row = 1 << k, reach[k]
+        if row and into:  # no path passes through a sink or a source
+            reach = [r | row if r & bit else r for r in reach]
+    return reach
 
 
 class ConditionLVerdict(Value):
@@ -484,53 +478,41 @@ class ConditionLVerdict(Value):
         return self.holds
 
 
-def _min_cycle_loop(cycles: list[list[int]]) -> Loop:
-    best = min(cycles, key=min)
-    k = best.index(min(best))
-    rotated = best[k:] + best[:k]
-    return Loop(tuple(rotated) + (rotated[0],))
-
-
 def condition_l(g: GraphSpec) -> ConditionLVerdict:
     """Every loop has at least one outgoing edge.
 
-    A loop lacks an outgoing edge iff all its vertices have out-degree
-    exactly 1, so it suffices to detect a cycle in the out-degree-1
-    subgraph.  The witness, when the condition fails, is the
-    lexicographically minimal exit-free loop.
+    Call a class *forced* when it is a singleton with one successor class.
+    With ``reach`` from ``_closure``, class c lies on an exit-free loop iff
+    c is in reach[c] and reach[c] is all forced.  (=>) Each vertex of an
+    exit-free loop has out-degree 1, and an edge into a class is an edge
+    to each of its vertices, so the next vertex's class is a singleton and
+    the only successor class: every class on the loop is forced, the loop
+    is the one walk from c, and reach[c] is its classes.  (<=) The walk
+    along the one successor class from c stays in reach[c], so it visits
+    singletons only, each vertex with out-degree 1, and as c is in
+    reach[c] it returns to c: an exit-free loop.  Classes follow vertex order, so the walk from the
+    least such c, the witness, is the lexicographically least exit-free
+    loop.
+
+    A banded tail's tail walks climb, so its exit-free loops lie in the
+    prefix: the closure runs on the prefix window, and ``succ``, tail
+    successors included, decides which prefix vertices are forced.
     """
     if isinstance(g, BandedTailGraph):
-        # Tail walks strictly increase, so exit-free cycles live in the prefix;
-        # a forced step into the tail leaves the map's key set and ends a walk.
-        step = {i: out[0] for i, out in enumerate(g.succ, start=1) if len(out) == 1}
+        h = g.truncate(max(g.cutoff, 1))
+        first = h.vertices()
+        forced = sum(1 << (i - 1) for i, out in enumerate(g.succ, start=1) if len(out) == 1)
     else:
-        # Only vertices of singleton classes can be revisited by a forced
-        # walk, so cycles live in the class-level functional graph over
-        # singleton out-degree-1 classes.
         h, first, sizes = _class_digraph(g)
-        step = {first[c - 1]: first[out[0] - 1] for c, out in enumerate(h.succ, start=1)
-                if len(out) == 1 and sizes[c - 1] == 1 and sizes[out[0] - 1] == 1}
-    cycles = _functional_cycles(step)
-    if cycles:
-        return ConditionLVerdict(False, _min_cycle_loop(cycles))
+        forced = sum(1 << (c - 1) for c, out in enumerate(h.succ, start=1)
+                     if len(out) == 1 and sizes[c - 1] == 1)
+    for c, row in enumerate(_closure(h), start=1):
+        if row >> (c - 1) & 1 and not row & ~forced:
+            loop = [c, h.succ[c - 1][0]]
+            while loop[-1] != c:
+                loop.append(h.succ[loop[-1] - 1][0])
+            return ConditionLVerdict(False, Loop(tuple(first[v - 1] for v in loop)))
     return ConditionLVerdict(True, None)
-
-
-def _reach_sets(fin: FiniteGraph) -> dict[int, set[int]]:
-    """reach[i] = vertices reachable from i by a path of length >= 1."""
-    succ = fin.succ
-    reach: dict[int, set[int]] = {}
-    for i in fin.vertices():
-        seen: set[int] = set()
-        stack = list(succ[i - 1])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(succ[v - 1])
-        reach[i] = seen
-    return reach
 
 
 def irreducible_with_witness(g: GraphSpec) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -543,11 +525,10 @@ def irreducible_with_witness(g: GraphSpec) -> tuple[bool, Optional[tuple[int, in
         # vertex is a tail vertex with no successor inside: never irreducible.
         g = g.truncate(g.cutoff + 2 * max(g.offsets, default=0) + 2)
     h, first, _ = _class_digraph(g)
-    reach = _reach_sets(h)
-    for i in h.vertices():
-        for j in h.vertices():
-            if j not in reach[i]:
-                return False, (first[i - 1], first[j - 1])
+    full = (1 << h.size) - 1
+    for i, row in enumerate(_closure(h)):
+        if row != full:
+            return False, (first[i], first[(~row & (row + 1)).bit_length() - 1])
     return True, None
 
 
@@ -564,11 +545,12 @@ def reaches_loop_with_witness(g: GraphSpec) -> tuple[bool, Optional[int]]:
         # as a dead end, and cross edges past it leave the window.
         g = g.truncate(g.cutoff + 1)
     h, first, _ = _class_digraph(g)
-    reach = _reach_sets(h)
-    on_cycle = {i for i in h.vertices() if i in reach[i]}
-    for i in h.vertices():
-        if i not in on_cycle and not (reach[i] & on_cycle):
-            return False, first[i - 1]
+    reach = _closure(h)
+    # a vertex on a cycle lies in its own row, so it meets on_cycle
+    on_cycle = sum(1 << i for i, row in enumerate(reach) if row >> i & 1)
+    for i, row in enumerate(reach):
+        if not row & on_cycle:
+            return False, first[i]
     return True, None
 
 

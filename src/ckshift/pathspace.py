@@ -270,6 +270,8 @@ def spectrum_level(model: MarkovModel, n: int,
     _require_ints(level=n)
     if n < 0:
         raise ValidationError("level must be nonnegative")
+    if window is not None:
+        _require_ints(window=window)
     g = model.graph
     fin = finite_form(g)
     if fin is not None:
@@ -278,6 +280,8 @@ def spectrum_level(model: MarkovModel, n: int,
     elif window is None:
         raise UnsupportedPresentationError(
             "spectrum of an infinite graph needs a window bound")
+    elif window < 0:
+        raise ValidationError(f"window must be nonnegative, got {window}")
     else:  # window rows are tested edge by edge when the walk first needs them
         starts, rows = range(1, window + 1), {}
 

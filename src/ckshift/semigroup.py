@@ -23,7 +23,7 @@ from .clopen import (CK4_FAILS, CK4_NOT_FINITELY_SUPPORTED, ClopenSet,
                      members_at_level, prepend_word, strip_word)
 from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
 from .graphs import valid_vertex, vertex_count
-from .pathspace import (MarkovModel, SpectrumPoint, spectrum_level,
+from .pathspace import (MarkovModel, SpectrumPoint, _require_ints, spectrum_level,
                         truncated_point, word_admissible)
 from .value import Value
 
@@ -351,6 +351,7 @@ def tail_partition(model: MarkovModel, max_shifts: int,
     equal length and boundary set.  Classes are nested as max_shifts grows.
     Points and classes come in spectrum order, which is ``sort_key`` order.
     """
+    _require_ints(max_shifts=max_shifts, level=level)
     if level < max_shifts:
         raise ValidationError("the level must be at least the shift bound")
     if max_shifts < 0:

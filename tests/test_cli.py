@@ -542,6 +542,9 @@ class TestContract:
              "golden_spectrum_expected.json"),
             (("essential-freeness", "--input", str(DATA / "golden_mean.json"),
               "--depth", "4", "--format", "json"), "golden_essential_freeness_expected.json"),
+            # an exit-free loop 2, 3, 2 that avoids vertex 1: (L) fails with a witness
+            (("classify", "--input", str(DATA / "exit_free_loop.json"),
+              "--format", "json"), "exit_free_loop_classify_expected.json"),
         ):
             _, out, _ = run(capsys, *argv)
             assert out == (DATA / golden).read_text()

@@ -88,6 +88,22 @@ class TestConditionL:
         for g in all_finite_graphs(4, no_zero_rows_only=True):
             assert ck.condition_l(g).holds == brute_condition_l(g, 4), g.rows
 
+    def test_witness_against_closure_oracle(self):
+        # the witness is the loop through the least vertex v on a cycle whose
+        # closure holds only out-degree-1 vertices, following v's successors
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                closure = brute_reach(g)
+                bad = [v for v in range(size) if closure[v][v]
+                       and all(len(g.succ[u]) == 1 for u in range(size) if closure[v][u])]
+                want = None
+                if bad:
+                    loop = [bad[0] + 1, g.succ[bad[0]][0]]
+                    while loop[-1] != loop[0]:
+                        loop.append(g.succ[loop[-1] - 1][0])
+                    want = ck.Loop(tuple(loop))
+                assert ck.condition_l(g) == ck.graphs.ConditionLVerdict(not bad, want), g.rows
+
     def test_witness_is_exit_free(self):
         for g in all_finite_graphs(3, no_zero_rows_only=True):
             v = ck.condition_l(g)
@@ -184,11 +200,14 @@ class TestIrreducible:
         assert ck.is_irreducible(ck.FiniteGraph(((0, 1), (1, 0))))
 
     def test_against_closure_oracle(self):
+        # the witness is the lexicographically first pair (i, j) with no path
         for size in (1, 2, 3):
             for g in all_finite_graphs(size):
                 closure = brute_reach(g)
-                expected = all(closure[i][j] for i in range(size) for j in range(size))
-                assert ck.is_irreducible(g) == expected, g.rows
+                want = next(((i + 1, j + 1) for i in range(size) for j in range(size)
+                             if not closure[i][j]), None)
+                assert ck.is_irreducible(g) == (want is None), g.rows
+                assert ck.graphs.irreducible_with_witness(g) == (want is None, want), g.rows
 
     def test_banded_against_truncation_oracle(self):
         # paths below the window never leave it, so the first unjoined pair
@@ -212,13 +231,15 @@ class TestReachesLoop:
         assert ck.every_vertex_reaches_loop(ck.FiniteGraph(((0, 1), (1, 1))))
 
     def test_against_closure_oracle(self):
+        # the witness is the least vertex that reaches no cycle
         for size in (1, 2, 3):
             for g in all_finite_graphs(size):
                 closure = brute_reach(g)
                 on_cycle = {i for i in range(size) if closure[i][i]}
-                expected = all(i in on_cycle or any(closure[i][j] for j in on_cycle)
-                               for i in range(size))
-                assert ck.every_vertex_reaches_loop(g) == expected, g.rows
+                want = next((i + 1 for i in range(size) if i not in on_cycle
+                             and not any(closure[i][j] for j in on_cycle)), None)
+                assert ck.every_vertex_reaches_loop(g) == (want is None), g.rows
+                assert ck.graphs.reaches_loop_with_witness(g) == (want is None, want), g.rows
 
     def test_infinite(self, ray, all_ones_infinite):
         assert ck.every_vertex_reaches_loop(all_ones_infinite)
@@ -479,6 +500,19 @@ class TestValidation:
         prefix, cross = (((1,),), ((0,),)) if cutoff in (1, True) else ((), ())
         with pytest.raises(ValidationError, match="cutoff must be a nonnegative integer"):
             ck.BandedTailGraph(prefix, cutoff, (1,), cross)
+
+    @pytest.mark.parametrize("window", (True, 1.0, "2", 0))
+    def test_banded_truncate_window(self, window):
+        # a bool window used to pass as 1
+        with pytest.raises(ValidationError, match="window must be an integer"):
+            ck.BandedTailGraph(((1,),), 1, (1,), ((1,),)).truncate(window)
+
+    def test_banded_cross_columns_follow_distinct_sorted_offsets(self):
+        g = ck.BandedTailGraph(((0,),), 1, (2, 1), ((1, 0),))
+        assert g.succ == ((2,),)  # the first column is offset 1, not the listed 2
+        with pytest.raises(ValidationError, match=r"cross must be 1x1 \(one column per "
+                                                  r"distinct offset, in increasing order\)"):
+            ck.BandedTailGraph(((0,),), 1, (1, 1), ((0, 0),))
 
     def test_banded_compiles_successors(self):
         g = ck.BandedTailGraph(((0, 1, 0), (1, 0, 1), (0, 0, 1)), 3, (2, 1),

@@ -242,10 +242,19 @@ class TestSpectrum:
     lambda m: ck.periodic_points(m, 2, 0).strict_count_dividing(2.0),
     lambda m: ck.periodic_points(m, 2, 0).strict_count_dividing("2"),
     lambda m: ck.periodic_points(m, 2, 0).strict_count_dividing(True),
+    lambda m: ck.spectrum_level(m, 1, window=True),
+    lambda m: ck.spectrum_level(m, 1, window=2.0),
+    lambda m: ck.tail_partition(m, 1.5, 3),
 ])
 def test_integer_arguments_reject_bools_and_non_ints(call, golden_model):
     with pytest.raises(ValidationError, match="must be an integer"):
         call(golden_model)
+
+
+def test_negative_window_is_rejected(ray):
+    # it used to give an empty spectrum
+    with pytest.raises(ValidationError, match="window must be nonnegative"):
+        ck.spectrum_level(ck.dense_model(ray), 1, window=-1)
 
 
 def brute_words(g, length, vertices):
