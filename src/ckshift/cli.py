@@ -125,12 +125,8 @@ def _verdict_json(v: graphs.Verdict) -> dict:
     if v.reason:
         out["reason"] = v.reason
     if v.witness is not None:
-        if isinstance(v.witness, graphs.Loop):
-            out["witness"] = list(v.witness.vertices)
-        elif isinstance(v.witness, tuple):
-            out["witness"] = list(v.witness)
-        else:
-            out["witness"] = v.witness
+        w = v.witness.vertices if isinstance(v.witness, graphs.Loop) else v.witness
+        out["witness"] = list(w) if isinstance(w, tuple) else w
     return out
 
 
@@ -162,9 +158,8 @@ def _run_classify(args):
 
 def _run_spectrum(args):
     model = _model_from_args(args)
-    window = None
-    if graphs.is_infinite(model.graph):
-        window = args.depth * 4  # window-restricted partial enumeration
+    # an infinite graph gets a window-restricted partial enumeration
+    window = args.depth * 4 if graphs.is_infinite(model.graph) else None
     sl = pathspace.spectrum_level(model, args.depth, window)
     report = {
         "level": args.depth,
@@ -212,17 +207,15 @@ def _run_essential_freeness(args):
     if args.depth < FREENESS_POWER_BOUND:
         raise ValidationError(f"--depth must be at least {FREENESS_POWER_BOUND}")
     results = []
-    any_violation = False
     for n in range(1, FREENESS_POWER_BOUND + 1):
         for m in range(0, n):
             res = pathspace.essential_freeness_scan(model, m, n, args.depth)
             entry = {"m": m, "n": n, "violation": res.violation_found}
             if res.violation_found:
-                any_violation = True
                 entry["witness_cylinder"] = list(res.witness)
             results.append(entry)
     report = {"depth": args.depth, "pairs": results}
-    return report, 1 if any_violation else 0
+    return report, 1 if any(entry["violation"] for entry in results) else 0
 
 
 def _run_periodic(args):

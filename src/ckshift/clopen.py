@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import UnsupportedPresentationError, ValidationError
+from .errors import UnsupportedPresentationError, ValidationError, _require_ints
 from .graphs import ck4_support, is_infinite, valid_vertex
 from .pathspace import (MarkovModel, SpectrumPoint, fiber, point_valid_at,
                         project_point, spectrum_level, word_admissible)
@@ -115,11 +115,13 @@ def _canonical(model: MarkovModel, level: int,
 def make_clopen(model: MarkovModel, level: int,
                 members: Iterable[SpectrumPoint]) -> ClopenSet:
     """Canonical clopen set: validates members and lowers to minimal level."""
+    _require_ints(level=level)
     return _canonical(model, level, _validate_members(model, level, members))
 
 
 def members_at_level(cl: ClopenSet, n: int) -> frozenset[SpectrumPoint]:
     """The member set of ``cl`` re-expressed at level n >= level(cl)."""
+    _require_ints(n=n)
     if n < cl.level:
         raise ValidationError(f"cannot lower a level-{cl.level} set to level {n}")
     mem = set(cl.members)
@@ -197,9 +199,8 @@ def prepend_word(word: Sequence[int], cl: ClopenSet) -> ClopenSet:
                 continue
         elif p.is_full:
             raise AssertionError("full points always carry a word")
-        else:
-            if not p.boundary.contains(word[-1], g):
-                continue
+        elif not p.boundary.contains(word[-1], g):
+            continue
         out.append(SpectrumPoint(word + p.word, p.boundary))
     return _canonical(model, cl.level + len(word), out)
 
@@ -209,14 +210,10 @@ def strip_word(word: Sequence[int], cl: ClopenSet) -> ClopenSet:
     word = tuple(word)
     if not word:
         return cl
-    model = cl.model
     base = max(cl.level, len(word))
-    members = members_at_level(cl, base)
-    out = []
-    for p in members:
-        if len(p.word) >= len(word) and p.word[:len(word)] == word:
-            out.append(SpectrumPoint(p.word[len(word):], p.boundary))
-    return _canonical(model, base - len(word), out)
+    out = [SpectrumPoint(p.word[len(word):], p.boundary)
+           for p in members_at_level(cl, base) if p.word[:len(word)] == word]
+    return _canonical(cl.model, base - len(word), out)
 
 
 # ---------------------------------------------------------------------------

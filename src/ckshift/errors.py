@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the quoting of a rejected
-value in their messages."""
+"""Exception types shared across the package, the quoting of a rejected
+value in their messages, and the check of integer arguments."""
 
 
 class ValidationError(ValueError):
@@ -20,3 +20,10 @@ def short_repr(value) -> str:
     message that quotes a rejected input stays one short line."""
     text = repr(value)
     return text if len(text) <= 80 else text[:79] + "…"
+
+
+def _require_ints(**values) -> None:
+    """Reject a bool or any other non-int given for an integer argument."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValidationError(f"{name} must be an integer, got {short_repr(value)}")

@@ -16,11 +16,10 @@ here: the predicates, the zero rows (``zero_rows``) and the CK4 support
 each presentation is decided on its class digraph (``_class_digraph``),
 where a finite graph is its own class digraph of singleton classes and a
 block pattern's class digraph is ``block``, compiled once at
-construction, and the loop predicates read one bit-row closure of it,
-``_closure``.  A banded tail's tail edges climb and never re-enter the
-prefix, so the predicates decide it on a finite window, its ``truncate``,
-by the same code.  Words are enumerated by one explicit-stack generator,
-``walks``.
+construction.  The loop predicates read one bit-row closure,
+``_closure``, of the class digraph or, for a banded tail, whose tail edges
+climb and never re-enter the prefix, of a finite window of its successor
+rows.  Words are enumerated by one explicit-stack generator, ``walks``.
 """
 
 from __future__ import annotations
@@ -459,15 +458,37 @@ def ck4_support(g: GraphSpec, E: Sequence[int], F: Sequence[int]) -> Optional[fr
     return frozenset(support)
 
 
-def _closure(h: FiniteGraph) -> list[int]:
-    """Warshall's closure over int bit rows: bit ``j - 1`` of ``reach[i - 1]``
-    is set iff a path of length >= 1 leads from vertex ``i`` to vertex ``j``."""
-    reach = [sum(1 << (j - 1) for j in out) for out in h.succ]
-    for k, into in enumerate(h.pred):
+def _closure(g: GraphSpec) -> tuple[Sequence[Sequence[int]], Sequence[int],
+                                     Sequence[Optional[int]], list[int]]:
+    """The successor rows, first vertices and sizes of the classes that
+    decide ``g`` (``_class_digraph``'s), and Warshall's closure over int
+    bit rows: bit ``j - 1`` of ``reach[i - 1]`` is set iff a path of length
+    >= 1 leads from class ``i`` to class ``j``.
+
+    A banded tail stands in as its window 1..top, top = cutoff + 2 * max
+    offset + 2, of singletons with their successors up to top.  Tail edges
+    climb and nothing re-enters the prefix, so a path ending at j never
+    passes max(cutoff, j), and no tail vertex lies on a cycle.  Cross
+    targets lie below top, so prefix rows are whole and condition (L)'s
+    forced singletons are exact.  Tail vertex cutoff + 1 reaches neither
+    itself nor a loop, so both witnesses lie in the window, and top, a
+    tail vertex, has no successor in it; a row full on the window is full,
+    as beyond top, v - max offset is a tail vertex with an edge to v.
+    """
+    if isinstance(g, BandedTailGraph):
+        top = g.cutoff + 2 * max(g.offsets, default=0) + 2
+        first, sizes = range(1, top + 1), (1,) * top
+        succ = tuple(tuple(j for j in g.successors(i) if j <= top) for i in first)
+    else:
+        h, first, sizes = _class_digraph(g)
+        succ = h.succ
+    reach = [sum(1 << (j - 1) for j in out) for out in succ]
+    entered = sum(1 << (j - 1) for j in set().union(*succ))
+    for k in range(len(reach)):
         bit, row = 1 << k, reach[k]
-        if row and into:  # no path passes through a sink or a source
+        if row and entered & bit:  # no path passes through a sink or a source
             reach = [r | row if r & bit else r for r in reach]
-    return reach
+    return succ, first, sizes, reach
 
 
 class ConditionLVerdict(Value):
@@ -490,27 +511,18 @@ def condition_l(g: GraphSpec) -> ConditionLVerdict:
     is the one walk from c, and reach[c] is its classes.  (<=) The walk
     along the one successor class from c stays in reach[c], so it visits
     singletons only, each vertex with out-degree 1, and as c is in
-    reach[c] it returns to c: an exit-free loop.  Classes follow vertex order, so the walk from the
-    least such c, the witness, is the lexicographically least exit-free
-    loop.
-
-    A banded tail's tail walks climb, so its exit-free loops lie in the
-    prefix: the closure runs on the prefix window, and ``succ``, tail
-    successors included, decides which prefix vertices are forced.
+    reach[c] it returns to c: an exit-free loop.  Classes follow vertex
+    order, so the walk from the least such c, the witness, is the
+    lexicographically least exit-free loop.
     """
-    if isinstance(g, BandedTailGraph):
-        h = g.truncate(max(g.cutoff, 1))
-        first = h.vertices()
-        forced = sum(1 << (i - 1) for i, out in enumerate(g.succ, start=1) if len(out) == 1)
-    else:
-        h, first, sizes = _class_digraph(g)
-        forced = sum(1 << (c - 1) for c, out in enumerate(h.succ, start=1)
-                     if len(out) == 1 and sizes[c - 1] == 1)
-    for c, row in enumerate(_closure(h), start=1):
+    succ, first, sizes, reach = _closure(g)
+    forced = sum(1 << (c - 1) for c, out in enumerate(succ, start=1)
+                 if len(out) == 1 and sizes[c - 1] == 1)
+    for c, row in enumerate(reach, start=1):
         if row >> (c - 1) & 1 and not row & ~forced:
-            loop = [c, h.succ[c - 1][0]]
+            loop = [c, succ[c - 1][0]]
             while loop[-1] != c:
-                loop.append(h.succ[loop[-1] - 1][0])
+                loop.append(succ[loop[-1] - 1][0])
             return ConditionLVerdict(False, Loop(tuple(first[v - 1] for v in loop)))
     return ConditionLVerdict(True, None)
 
@@ -518,15 +530,9 @@ def condition_l(g: GraphSpec) -> ConditionLVerdict:
 def irreducible_with_witness(g: GraphSpec) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff every ordered vertex pair (i, j) is joined by a path of
     length >= 1; otherwise the lexicographically first unjoined pair."""
-    if isinstance(g, BandedTailGraph):
-        # Tail edges strictly increase and nothing re-enters the prefix, so
-        # a path ending at j never visits a vertex beyond max(cutoff, j):
-        # reachability below the window is exact in the truncation.  Its last
-        # vertex is a tail vertex with no successor inside: never irreducible.
-        g = g.truncate(g.cutoff + 2 * max(g.offsets, default=0) + 2)
-    h, first, _ = _class_digraph(g)
-    full = (1 << h.size) - 1
-    for i, row in enumerate(_closure(h)):
+    _, first, _, reach = _closure(g)
+    full = (1 << len(reach)) - 1
+    for i, row in enumerate(reach):
         if row != full:
             return False, (first[i], first[(~row & (row + 1)).bit_length() - 1])
     return True, None
@@ -539,13 +545,7 @@ def is_irreducible(g: GraphSpec) -> bool:
 def reaches_loop_with_witness(g: GraphSpec) -> tuple[bool, Optional[int]]:
     """True iff every vertex has a path to a vertex lying on some loop;
     otherwise the minimal vertex that reaches none."""
-    if isinstance(g, BandedTailGraph):
-        # Loops live in the prefix and no path comes back from the tail, so
-        # no tail vertex reaches a loop; the window keeps one, cutoff + 1,
-        # as a dead end, and cross edges past it leave the window.
-        g = g.truncate(g.cutoff + 1)
-    h, first, _ = _class_digraph(g)
-    reach = _closure(h)
+    _, first, _, reach = _closure(g)
     # a vertex on a cycle lies in its own row, so it meets on_cycle
     on_cycle = sum(1 << i for i, row in enumerate(reach) if row >> i & 1)
     for i, row in enumerate(reach):

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import lshift, mul, rshift
 from typing import Sequence
 
-from .errors import ValidationError, short_repr
+from .errors import ValidationError, _require_ints, short_repr
 from .value import Value
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -95,6 +95,7 @@ def scalar_mul(k: int, a: Matrix) -> Matrix:
 def mat_pow(a: Matrix, k: int) -> Matrix:
     if not is_square(a):
         raise ValidationError("powers need a square matrix")
+    _require_ints(k=k)
     if k < 0:
         raise ValidationError("negative matrix powers are not defined here")
     result = identity(len(a))
@@ -160,6 +161,7 @@ def power_sums(a: Matrix, m: int) -> list[int]:
     polynomial x^n + c_1 x^(n-1) + ... + c_n."""
     if not is_square(a):
         raise ValidationError("power sums need a square matrix")
+    _require_ints(m=m)
     n = len(a)
     top = min(m, n)
     out = [0] * (m + 1)

@@ -19,18 +19,12 @@ import collections
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
+from .errors import (DomainError, UnsupportedPresentationError, ValidationError, _require_ints,
+                     short_repr)
 from .graphs import (BandedTailGraph, BlockPatternGraph, GraphSpec, Loop,
                      _class_digraph, finite_form, primitive_closed_walks,
                      valid_vertex, vertex_count, walks, zero_rows)
 from .value import Value
-
-
-def _require_ints(**values) -> None:
-    """Reject a bool or any other non-int given for an integer argument."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValidationError(f"{name} must be an integer, got {short_repr(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +79,10 @@ def make_pattern(g: GraphSpec, finite: Iterable[int] = (),
             raise ValidationError("class patterns only apply to block-pattern graphs")
         if not isinstance(c, int) or isinstance(c, bool) or c < 1 or c > g.num_classes:
             raise ValidationError(f"unknown class id {short_repr(c)}")
-        card = g.class_sizes[c - 1]
+        card, start = g.class_sizes[c - 1], g.starts[c - 1]
         if card is None:
             cls.add(c)
         else:
-            start = g.starts[c - 1]
             fin.update(range(start, start + card))
     return BoundaryPattern(frozenset(fin), frozenset(cls))
 
@@ -447,6 +440,9 @@ def strict_period_counts(g: GraphSpec, max_k: int) -> list[int]:
     fin = finite_form(g)
     if fin is None:
         raise UnsupportedPresentationError("periodic counts need a finite graph")
+    _require_ints(max_k=max_k)
+    if max_k < 0:
+        raise ValidationError("max_k must be nonnegative")
     n, succ = fin.size, fin.succ
     counts = [0] * (max_k + 1)
     for start in range(1, n + 1):

@@ -21,10 +21,11 @@ from typing import Iterable, Optional, Sequence
 from .clopen import (CK4_FAILS, CK4_NOT_FINITELY_SUPPORTED, ClopenSet,
                      ck4_identity, empty_clopen, follower_set, full_space,
                      members_at_level, prepend_word, strip_word)
-from .errors import DomainError, UnsupportedPresentationError, ValidationError, short_repr
+from .errors import (DomainError, UnsupportedPresentationError, ValidationError, _require_ints,
+                     short_repr)
 from .graphs import valid_vertex, vertex_count
-from .pathspace import (MarkovModel, SpectrumPoint, _require_ints, spectrum_level,
-                        truncated_point, word_admissible)
+from .pathspace import (MarkovModel, SpectrumPoint, spectrum_level, truncated_point,
+                        word_admissible)
 from .value import Value
 
 
@@ -189,6 +190,7 @@ def evaluate(a: Monomial, level: int) -> PartialInjection:
     """The exact injection induced on level members:  beta.w -> alpha.w.
     Needs level >= max(|alpha|, |beta|) + level(h) so membership of the
     transported tails is decided."""
+    _require_ints(level=level)
     if a.is_zero:
         return PartialInjection(level, level, frozenset())
     need = min_evaluation_level(a)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Container, Iterable, Optional, Sequence
 
-from .errors import DomainError, ValidationError, short_repr
+from .errors import DomainError, ValidationError, _require_ints, short_repr
 from .graphs import walks
 from .intmat import (Matrix, as_matrix, charpoly, det, identity, is_nonneg,
                      is_square, mat_mul, mat_pow, mat_sub, mat_vec, power_sums,
@@ -59,6 +59,7 @@ def verify_shift_equivalence(A: Matrix, B: Matrix, R: Matrix, S: Matrix,
                              k: int) -> bool:
     """AR = RB, SA = BS, RS = A^k, SR = B^k, all exact.  Lag 1 is the
     elementary check, since then AR = RSR = RB and SA = SRS = BS."""
+    _require_ints(k=k)
     if k < 1:
         raise ValidationError("the lag must be a positive integer")
     if k == 1:
@@ -131,6 +132,7 @@ def search_elementary(A: Matrix, B: Matrix, inner_dim_bound: int,
     B = SR and entries at most entry_bound, or None.  The factor shapes are
     forced (R is dimA x dimB); inner_dim_bound caps the admitted dimB.
     Provably distinct inputs are screened out by the invariants first."""
+    _require_ints(inner_dim_bound=inner_dim_bound, entry_bound=entry_bound)
     if inner_dim_bound <= 0 or entry_bound <= 0:
         raise ValidationError("search bounds must be positive")
     for m, name in ((A, "A"), (B, "B")):
@@ -197,12 +199,8 @@ class ConjugacyPair(Value):
 
     def __init__(self, A: Matrix, B: Matrix, R: Matrix, S: Matrix,
                  alpha: dict[Edge, tuple[Edge, Edge]], beta: dict[Edge, tuple[Edge, Edge]]):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        for name, value in zip(self._fields, (A, B, R, S, alpha, beta)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "alpha_inv", {v: k for k, v in alpha.items()})
         object.__setattr__(self, "beta_inv", {v: k for k, v in beta.items()})
 
@@ -263,6 +261,9 @@ def apply_psi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
 
 def edge_paths(M: Matrix, length: int) -> Iterable[tuple[Edge, ...]]:
     """All admissible edge words of the given length, lexicographically."""
+    _require_ints(length=length)
+    if length < 0:
+        raise ValidationError("length must be nonnegative")
     if length == 0:
         yield ()
         return
@@ -357,6 +358,7 @@ class DimensionGroup:
 
     def positive_bounded(self, x: DimGroupElement, k_max: int) -> PositivityVerdict:
         self._mine(x)
+        _require_ints(k_max=k_max)
         if k_max < 0:
             raise ValidationError("the search bound must be nonnegative")
         v = x.vector
@@ -374,4 +376,5 @@ def trace_powers(A: Matrix, k_max: int) -> list[int]:
     edge shift, by :func:`~ckshift.intmat.power_sums`."""
     if not is_square(A):
         raise ValidationError("trace powers need a square matrix")
+    _require_ints(k_max=k_max)
     return power_sums(A, k_max)

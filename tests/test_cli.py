@@ -545,9 +545,30 @@ class TestContract:
             # an exit-free loop 2, 3, 2 that avoids vertex 1: (L) fails with a witness
             (("classify", "--input", str(DATA / "exit_free_loop.json"),
               "--format", "json"), "exit_free_loop_classify_expected.json"),
+            # a self-loop prefix vertex and a tail that climbs by 2000
+            (("classify", "--input", str(DATA / "banded_far.json"),
+              "--format", "json"), "banded_far_classify_expected.json"),
         ):
             _, out, _ = run(capsys, *argv)
             assert out == (DATA / golden).read_text()
+
+    def test_large_offset_classify_in_bounded_memory(self, tmp_path):
+        # the banded window holds successor rows, never a window-squared
+        # matrix: offset 5000 classifies under a 512 MiB address-space cap,
+        # with the report of offset 2000, which the offset does not change
+        resource = pytest.importorskip("resource")
+        cap = 512 << 20
+        p = tmp_path / "banded_far_5000.json"
+        p.write_text('{"type": "banded", "prefix": [[1]], "cutoff": 1, "offsets": [5000], '
+                     '"cross": [[0]]}')
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ckshift.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ckshift.cli", "classify", "--input", str(p),
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout == (DATA / "banded_far_classify_expected.json").read_text()
 
     @pytest.mark.parametrize("graph, classify_code", (("banded", 1), ("block_inf", 0)))
     def test_infinite_golden_files(self, capsys, graph, classify_code):

@@ -160,7 +160,7 @@ def brute_reach(g):
 def random_banded_tails(seed, count):
     """Seeded banded tails with prefixes of 0..4 vertices and 0..3 offsets
     below 5, with a wide window: it covers every cross edge and three more
-    vertices than the windows the predicates truncate to."""
+    vertices than the window the predicates decide a banded tail on."""
     rng = random.Random(seed)
     for _ in range(count):
         cutoff = rng.randint(0, 4)
@@ -255,19 +255,9 @@ class TestReachesLoop:
 
     def test_banded_against_truncation_oracle(self):
         # loops live in the prefix and the tail only moves outwards, so the
-        # least vertex reaching no loop is the least such vertex of a
-        # truncation that keeps the first tail vertex
-        rng = random.Random(5)
-        for _ in range(300):
-            cutoff = rng.randint(0, 3)
-            offsets = tuple(rng.sample(range(1, 4), rng.randint(0, 2)))
-            prefix = tuple(tuple(rng.randint(0, 1) for _ in range(cutoff))
-                           for _ in range(cutoff))
-            cross = tuple(tuple(rng.randint(0, 1) if i + o > cutoff else 0
-                                for o in sorted(offsets))
-                          for i in range(1, cutoff + 1))
-            g = ck.BandedTailGraph(prefix, cutoff, offsets, cross)
-            window = cutoff + 3
+        # least vertex reaching no loop is the least such vertex of a wider
+        # truncation
+        for g, window in random_banded_tails(5, 300):
             closure = brute_reach(g.truncate(window))
             on_cycle = {i for i in range(window) if closure[i][i]}
             want = next(i + 1 for i in range(window) if i not in on_cycle

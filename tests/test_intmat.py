@@ -11,6 +11,17 @@ import ckshift.intmat as im
 from ckshift.errors import ValidationError
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda a: im.mat_pow(a, True), "k"),
+    (lambda a: im.mat_pow(a, 2.0), "k"),
+    (lambda a: im.power_sums(a, True), "m"),
+    (lambda a: im.power_sums(a, 2.5), "m"),
+])
+def test_integer_arguments_reject_bools_and_non_ints(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        call(((1, 1), (1, 0)))
+
+
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(cols))
                  for _ in range(rows))

@@ -245,10 +245,23 @@ class TestSpectrum:
     lambda m: ck.spectrum_level(m, 1, window=True),
     lambda m: ck.spectrum_level(m, 1, window=2.0),
     lambda m: ck.tail_partition(m, 1.5, 3),
+    lambda m: ck.strict_period_counts(m.graph, 2.0),
+    lambda m: ck.strict_period_counts(m.graph, True),
+    lambda m: ck.evaluate(ck.generator(m, 1), 2.0),
+    lambda m: ck.raise_level(ck.full_space(m), 1.5),
+    lambda m: ck.make_clopen(m, True, []),
 ])
 def test_integer_arguments_reject_bools_and_non_ints(call, golden_model):
-    with pytest.raises(ValidationError, match="must be an integer"):
+    # the message names the argument
+    with pytest.raises(ValidationError, match=r"^\w+ must be an integer"):
         call(golden_model)
+
+
+def test_negative_period_bound_is_rejected(golden_mean):
+    # it used to give an empty list
+    with pytest.raises(ValidationError, match="^max_k must be nonnegative"):
+        ck.strict_period_counts(golden_mean, -1)
+    assert ck.strict_period_counts(golden_mean, 0) == [0]
 
 
 def test_negative_window_is_rejected(ray):

@@ -18,6 +18,28 @@ S21 = ((1,), (1,))
 GOLDEN = ((1, 1), (1, 0))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: ck.trace_powers(GOLDEN, 2.0), "k_max"),
+    (lambda: ck.search_elementary(A2, ALL1, True, 2), "inner_dim_bound"),
+    (lambda: ck.search_elementary(A2, ALL1, 2, 2.0), "entry_bound"),
+    (lambda: DimensionGroup(GOLDEN).positive_bounded(DimensionGroup(GOLDEN).element((1, 0)), 1.5),
+     "k_max"),
+    (lambda: ck.verify_shift_equivalence(A2, ALL1, R12, S21, 2.0), "k"),
+    (lambda: ck.verify_shift_equivalence(A2, ALL1, R12, S21, True), "k"),
+    (lambda: list(edge_paths(GOLDEN, 2.0)), "length"),
+])
+def test_integer_arguments_reject_bools_and_non_ints(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_negative_edge_path_length_is_rejected():
+    # it used to give no words
+    with pytest.raises(ValidationError, match="^length must be nonnegative"):
+        list(edge_paths(GOLDEN, -1))
+    assert list(edge_paths(GOLDEN, 0)) == [()]
+
+
 def trace_powers_oracle(A, k_max):
     """[_, tr A, ..., tr A^k] by cumulative products A, A^2, ..., A^k."""
     out = [0] * (k_max + 1)
