@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Optional
@@ -71,8 +72,10 @@ def _json(value, newline: str = "\n") -> str:
 
 def _items(values: list, newline: str):
     """The JSON texts of a nonempty list's items, to follow ``newline``: one
-    ``map`` if all are str or all int (not bool), ``_records`` for two or more
-    dicts with one key set, else ``_json`` on each (a float or tuple raises)."""
+    ``map`` if all are str, all int (not bool) or all bool, one ``%d`` format
+    per length if all are nonempty lists of ints (not bools), ``_records`` for
+    two or more dicts with one key set, else ``_json`` on each (a float or
+    tuple raises)."""
     kind = type(values[0])
     for v in values:
         if type(v) is not kind:
@@ -82,6 +85,13 @@ def _items(values: list, newline: str):
             return map(encode_basestring_ascii, values)
         if kind is int:
             return map(int.__repr__, values)
+        if kind is bool:
+            return map(("false", "true").__getitem__, values)
+        if kind is list and all(values) and set(map(type, chain.from_iterable(values))) == {int}:
+            inner = newline + "  "
+            text = {k: "[" + inner + ("," + inner).join(["%d"] * k) + newline + "]"
+                    for k in set(map(len, values))}
+            return [text[len(v)] % tuple(v) for v in values]
         keys = values[0].keys() if kind is dict and len(values) > 1 else None
         if keys and all(map(keys.__eq__, map(dict.keys, values))):
             return _records(values, newline)

@@ -19,7 +19,8 @@ block pattern's class digraph is ``block``, compiled once at
 construction.  The loop predicates read one bit-row closure,
 ``_closure``, of the class digraph or, for a banded tail, whose tail edges
 climb and never re-enter the prefix, of a finite window of its successor
-rows.  Words are enumerated by one explicit-stack generator, ``walks``.
+rows.  Words come one length at a time from per-letter successor tails
+(``walk_levels``), or for one length by squaring them (``words_of_length``).
 """
 
 from __future__ import annotations
@@ -330,53 +331,64 @@ def _canonical_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(word[k:] + word[:k] for k in range(len(word)))
 
 
-def is_primitive(word: Sequence) -> bool:
-    """True unless the word is a proper power u^k with k >= 2."""
-    p = len(word)
-    return not any(p % d == 0 and word[:d] * (p // d) == word
-                   for d in range(1, p // 2 + 1))
+class _Tails(dict):
+    """Tails by letter: ``step(letter)``, computed when a word first ends in it."""
+
+    def __init__(self, step: Callable):
+        self.step = step
+
+    def __missing__(self, v):
+        return self.setdefault(v, self.step(v))
 
 
-_DONE = object()
+def walk_levels(starts: Iterable, extend: Callable, max_len: int) -> Iterator[list[tuple]]:
+    """The words of lengths 1..max_len, one lexicographic list per length:
+    each begins with a letter of ``starts`` and goes on with the letters of
+    ``extend(last letter)``, which are cached per letter."""
+    tails = _Tails(lambda v: tuple([(j,) for j in extend(v)]))
+    for k in range(max_len):
+        level = [w + t for w in level for t in tails[w[-1]]] if k else [(v,) for v in starts]
+        yield level
 
 
-def walks(starts: Iterable, extend: Callable[[list], Iterable],
-          max_len: int) -> Iterator[list]:
-    """Depth-first, lexicographic walk enumeration with an explicit stack.
-
-    Yields every word of length 1..max_len that begins with a letter of
-    ``starts`` and continues, letter by letter, with the letters of
-    ``extend(word)``; a word comes before its extensions.  The yielded
-    list is the generator's working buffer, valid until the next step:
-    copy what you keep.
-    """
-    if max_len < 1:
-        return
-    word: list = []
-    stack = [iter(starts)]
-    while stack:
-        letter = next(stack[-1], _DONE)
-        if letter is _DONE:
-            stack.pop()
-            if stack:
-                word.pop()
-            continue
-        word.append(letter)
-        yield word
-        if len(word) < max_len:
-            stack.append(iter(extend(word)))
-        else:
-            word.pop()
+def words_of_length(starts: Iterable, extend: Callable, length: int) -> list[tuple]:
+    """``walk_levels``' list for one length, by repeated squaring: the tails of
+    2k letters are those of k letters, each followed by the k-letter tails of
+    its last letter, so a chain of L letters costs O(L) tuple copies."""
+    tails = _Tails(lambda v: tuple([(j,) for j in extend(v)]))
+    words = [(v,) for v in starts] if length > 0 else []
+    more = length - 1
+    while more > 0:
+        if more & 1:
+            words = [w + t for w in words for t in tails[w[-1]]]
+        more >>= 1
+        if more:
+            tails = _Tails(lambda v, half=tails: tuple([t + u for t in half[v]
+                                                        for u in half[t[-1]]]))
+    return words
 
 
 def primitive_closed_walks(g: FiniteGraph, max_len: int) -> Iterator[tuple[int, ...]]:
     """Every primitive closed walk of length 1..max_len as its base word
-    (i_0, ..., i_{n-1}), with i_{n-1} -> i_0, in depth-first lexicographic
-    order.  Rotations are distinct walks and are all listed."""
+    (i_0, ..., i_{n-1}), with i_{n-1} -> i_0, by length and then
+    lexicographically.  Rotations are distinct walks and are all listed.
+
+    A closed walk of length p is u^(p/d) for one primitive closed walk u of
+    length d | p: ``powers[p]``, the count of those at proper divisors d, is
+    the number of proper powers, so a length holding both kinds is filtered."""
     succ, rows = g.succ, g.rows
-    for word in walks(g.vertices(), lambda w: succ[w[-1] - 1], max_len):
-        if rows[word[-1] - 1][word[0] - 1] and is_primitive(word):
-            yield tuple(word)
+    found, powers = {}, [0] * (max_len + 1)
+    for p, level in enumerate(walk_levels(g.vertices(), lambda v: succ[v - 1], max_len), 1):
+        closed = [w for w in level if rows[w[-1] - 1][w[0] - 1]]
+        if powers[p] == len(closed):  # no closed walk, or proper powers only
+            continue
+        if powers[p]:
+            proper = {u * (p // d) for d, us in found.items() if p % d == 0 for u in us}
+            closed = [w for w in closed if w not in proper]
+        if 2 * p <= max_len:  # kept only while a multiple of p is to come
+            found[p] = closed
+            powers[2 * p::p] = [c + len(closed) for c in powers[2 * p::p]]
+        yield from closed
 
 
 def enumerate_loops(g: GraphSpec, max_len: int) -> list[LoopRecord]:

@@ -147,7 +147,7 @@ def det(a: Matrix) -> int:
 
 
 def power_sums(a: Matrix, m: int) -> list[int]:
-    """[0, tr A, tr A^2, ..., tr A^m] ([] when m < 0).
+    """[0, tr A, tr A^2, ..., tr A^m], for m >= 0.
 
     A^1..A^top with top = min(m, n) are formed by Kronecker substitution:
     row i of A^k is kept as one integer, the sum over j of
@@ -162,6 +162,8 @@ def power_sums(a: Matrix, m: int) -> list[int]:
     if not is_square(a):
         raise ValidationError("power sums need a square matrix")
     _require_ints(m=m)
+    if m < 0:
+        raise ValidationError("m must be nonnegative")
     n = len(a)
     top = min(m, n)
     out = [0] * (m + 1)

@@ -10,7 +10,8 @@ column cluster patterns, validates models, enumerates levels, applies the
 shift and the level projections, and scans for periodic points and
 essential-freeness violations.  Model validation asks ``graphs`` for the
 zero rows and checks them against the family, whatever the presentation;
-words and preperiod prefixes come from ``graphs.walks``.
+words and preperiod prefixes come a length at a time from
+``graphs.walk_levels``, or ``graphs.words_of_length`` for one length.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import (DomainError, UnsupportedPresentationError, ValidationError, _require_ints,
                      short_repr)
 from .graphs import (BandedTailGraph, BlockPatternGraph, GraphSpec, Loop,
-                     _class_digraph, finite_form, primitive_closed_walks,
-                     valid_vertex, vertex_count, walks, zero_rows)
+                     _class_digraph, finite_form, primitive_closed_walks, valid_vertex,
+                     vertex_count, walk_levels, words_of_length, zero_rows)
 from .value import Value
 
 
@@ -254,12 +255,14 @@ class SpectrumSlice(Value):
 
 def spectrum_level(model: MarkovModel, n: int,
                    window: Optional[int] = None) -> SpectrumSlice:
-    """The level-n spectrum in ``SpectrumPoint.sort_key`` order, from one
-    walk to length n+1: full words, then truncated words by decreasing
-    length, then the empty-word boundary points.  Nothing is sorted:
-    ``walks`` is lexicographic as successors ascend, and caps follow
-    ``boundary_sorted()``.  For infinite graphs a window must be supplied;
-    the result is the window-restricted sub-spectrum, flagged partial."""
+    """The level-n spectrum in ``SpectrumPoint.sort_key`` order: full words
+    of length n+1, then truncated words by decreasing length, then the
+    empty-word boundary points, each length's points built in one pass.
+    Nothing is sorted: each length's words are lexicographic as successors
+    ascend, and caps follow ``boundary_sorted()``.  When no vertex has a
+    cap, only length n+1 is built (``words_of_length``).  For infinite
+    graphs a window must be supplied; the result is the window-restricted
+    sub-spectrum, flagged partial."""
     _require_ints(level=n)
     if n < 0:
         raise ValidationError("level must be nonnegative")
@@ -269,35 +272,29 @@ def spectrum_level(model: MarkovModel, n: int,
     fin = finite_form(g)
     if fin is not None:
         starts: Sequence[int] = fin.vertices()
-        rows = dict(zip(starts, fin.succ))
+        succ = fin.succ
     elif window is None:
         raise UnsupportedPresentationError(
             "spectrum of an infinite graph needs a window bound")
     elif window < 0:
         raise ValidationError(f"window must be nonnegative, got {window}")
-    else:  # window rows are tested edge by edge when the walk first needs them
-        starts, rows = range(1, window + 1), {}
+    else:  # a window row is tested edge by edge when a word first ends in it
+        starts, succ = range(1, window + 1), None
 
-    def extend(word: list[int]) -> Sequence[int]:
-        v = word[-1]
-        if v not in rows:
-            rows[v] = [j for j in starts if g.edge(v, j)]
-        return rows[v]
+    def extend(v: int) -> Sequence[int]:
+        return succ[v - 1] if succ is not None else [j for j in starts if g.edge(v, j)]
 
     fam = model.boundary_sorted()
     caps = {v: model.caps(v) for v in starts} if fam else {}
-    full: list[SpectrumPoint] = []
-    layers: list[list[SpectrumPoint]] = [[] for _ in range(n + 1)]
-    for word in walks(starts, extend, n + 1):
-        if len(word) > n:
-            full.append(SpectrumPoint(tuple(word)))
-        elif caps:
-            w = tuple(word)
-            layers[len(w)].extend(SpectrumPoint(w, pat) for pat in caps[w[-1]])
-    for layer in reversed(layers):
-        full.extend(layer)
-    full.extend(SpectrumPoint((), pat) for pat in fam)
-    return SpectrumSlice(tuple(full), fin is None)
+    if any(caps.values()):
+        *shorter, last = walk_levels(starts, extend, n + 1)
+        points = [SpectrumPoint(w) for w in last]
+        for level in reversed(shorter):
+            points += [SpectrumPoint(w, pat) for w in level for pat in caps[w[-1]]]
+    else:
+        points = [SpectrumPoint(w) for w in words_of_length(starts, extend, n + 1)]
+    points += [SpectrumPoint((), pat) for pat in fam]
+    return SpectrumSlice(tuple(points), fin is None)
 
 
 def project_point(p: SpectrumPoint, from_level: int) -> SpectrumPoint:
@@ -394,7 +391,9 @@ def periodic_points(model: MarkovModel, max_period: int,
     """All eventually periodic paths with minimal period <= max_period and
     minimal preperiod <= max_preperiod.  Each point appears once: the loop
     is primitive and based where the periodic tail starts, and the prefix
-    is shortest (its last letter differs from the loop's last letter)."""
+    is shortest (its last letter differs from the loop's last letter).
+    Loops come by length from ``primitive_closed_walks``, prefixes a length
+    at a time from ``walk_levels``; the records are sorted once."""
     fin = finite_form(model.graph)
     if fin is None:
         raise UnsupportedPresentationError("periodic-point search needs a finite graph")
@@ -409,9 +408,6 @@ def periodic_points(model: MarkovModel, max_period: int,
     forced = {v for v, out in enumerate(fin.succ, start=1) if len(out) == 1}
     pred = fin.pred
 
-    def leftwards(w: list[int]) -> Sequence[int]:
-        return pred[w[-1] - 1]
-
     # Distinct base points are distinct points of the shift, so rotations
     # of a closed walk are separate records.
     for base in primitive_closed_walks(fin, max_period):
@@ -425,9 +421,9 @@ def periodic_points(model: MarkovModel, max_period: int,
         # where the walk is skipped, not set up for nothing.
         if max_preperiod:
             starts = [i for i in pred[base[0] - 1] if i != base[-1]]
-            for w in walks(starts, leftwards, max_preperiod):
-                records.append(PeriodicPointRecord(
-                    len(w), len(base), tuple(reversed(w)), loop, isolated))
+            records += [PeriodicPointRecord(len(w), len(base), w[::-1], loop, isolated)
+                        for level in walk_levels(starts, lambda v: pred[v - 1], max_preperiod)
+                        for w in level]
     records.sort(key=lambda r: (r.preperiod, r.prefix, r.loop.vertices))
     return PeriodicScan(tuple(records), max_period, max_preperiod)
 
@@ -485,7 +481,7 @@ def essential_freeness_scan(model: MarkovModel, m0: int, n0: int,
     for n0 <= i < full, iff (i - d >= m0; induct on i) e is u = e[:n0] then
     u[m0:] repeated.  It is admissible iff u is and u[-1] -> u[m0] is an
     edge: for i > n0, (e[i-1], e[i]) = (e[i-d-1], e[i-d]) is an edge of u if
-    i - d < n0, else an earlier tail pair.  So walks stop at length n0.
+    i - d < n0, else an earlier tail pair.  So words stop at length n0.
     """
     fin = finite_form(model.graph)
     if fin is None:
@@ -499,21 +495,26 @@ def essential_freeness_scan(model: MarkovModel, m0: int, n0: int,
     d = n0 - m0
     full = depth + d
     n, succ, rows = fin.size, fin.succ, fin.rows
-
-    # ext[r][v] = number of admissible words of r further letters from v.
-    ext = [[1] * (n + 1)]
-    for _ in range(full):
-        prev = ext[-1]
-        ext.append([0] + [sum(prev[j] for j in succ[v - 1]) for v in range(1, n + 1)])
-
     reps = -(-(full - n0) // d)
     agreeing = [u + (u[m0:] * reps)[:full - n0]
-                for u in map(tuple, walks(fin.vertices(), lambda w: succ[w[-1] - 1], n0))
-                if len(u) == n0 and rows[u[-1] - 1][u[m0] - 1]]
-    # The walk order is lexicographic, so the agreeing words under one
-    # prefix are consecutive and prefixes of one length come in order.
+                for u in words_of_length(fin.vertices(), lambda v: succ[v - 1], n0)
+                if rows[u[-1] - 1][u[m0] - 1]]
+
+    # ext[r][v - 1] = number of admissible words of r further letters from v,
+    # capped at cap: a group below holds at most len(agreeing) < cap words,
+    # so the cap keeps every comparison.  A capped row is a function of the
+    # row before it, so from the first repeated row on, the rows cycle.
+    cap, seen, row = len(agreeing) + 1, {}, (1,) * n
+    while len(seen) < full and row not in seen:
+        seen[row] = len(seen)
+        row = tuple([min(cap, sum([row[j - 1] for j in out])) for out in succ])
+    ext, first = list(seen), seen.get(row, len(seen))
+    # The words are lexicographic, so the agreeing words under one prefix
+    # are consecutive and prefixes of one length come in order.
     for ln in range(1, depth + 1):
+        r = full - ln
+        counts = ext[r if r < first else first + (r - first) % (len(ext) - first)]
         for pre, group in itertools.groupby(agreeing, key=lambda w: w[:ln]):
-            if sum(1 for _ in group) == ext[full - ln][pre[-1]]:
+            if sum(1 for _ in group) == counts[pre[-1] - 1]:
                 return FreenessScanResult(True, pre)
     return FreenessScanResult(False, None)

@@ -8,10 +8,10 @@ automorphism.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .errors import DomainError, ValidationError, _require_ints, short_repr
-from .graphs import walks
+from .graphs import words_of_length
 from .intmat import (Matrix, as_matrix, charpoly, det, identity, is_nonneg,
                      is_square, mat_mul, mat_pow, mat_sub, mat_vec, power_sums,
                      shape, smith_normal_form)
@@ -259,21 +259,18 @@ def apply_psi(pair: ConjugacyPair, path: Sequence[Edge]) -> list[Edge]:
     return _transport(pair.beta, pair.alpha_inv, path)
 
 
-def edge_paths(M: Matrix, length: int) -> Iterable[tuple[Edge, ...]]:
+def edge_paths(M: Matrix, length: int) -> list[tuple[Edge, ...]]:
     """All admissible edge words of the given length, lexicographically."""
     _require_ints(length=length)
     if length < 0:
         raise ValidationError("length must be nonnegative")
     if length == 0:
-        yield ()
-        return
+        return [()]
     edges = edge_set(M)
     by_source: dict[int, list[Edge]] = {}
     for e in edges:
         by_source.setdefault(e[0], []).append(e)
-    for word in walks(edges, lambda w: by_source.get(w[-1][1], ()), length):
-        if len(word) == length:
-            yield tuple(word)
+    return words_of_length(edges, lambda e: by_source.get(e[1], ()), length)
 
 
 # ---------------------------------------------------------------------------
@@ -377,4 +374,6 @@ def trace_powers(A: Matrix, k_max: int) -> list[int]:
     if not is_square(A):
         raise ValidationError("trace powers need a square matrix")
     _require_ints(k_max=k_max)
+    if k_max < 0:
+        raise ValidationError("k_max must be nonnegative")
     return power_sums(A, k_max)

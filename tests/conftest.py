@@ -5,6 +5,42 @@ import pytest
 import ckshift as ck
 
 
+def walks(starts, extend, max_len):
+    """Reference enumerator: depth-first, lexicographic, with an explicit stack.
+
+    Yields every word of length 1..max_len that begins with a letter of
+    ``starts`` and continues, letter by letter, with the letters of
+    ``extend(word)``; a word comes before its extensions.  The yielded
+    list is the generator's working buffer, valid until the next step:
+    copy what you keep.
+    """
+    if max_len < 1:
+        return
+    done = object()
+    word = []
+    stack = [iter(starts)]
+    while stack:
+        letter = next(stack[-1], done)
+        if letter is done:
+            stack.pop()
+            if stack:
+                word.pop()
+            continue
+        word.append(letter)
+        yield word
+        if len(word) < max_len:
+            stack.append(iter(extend(word)))
+        else:
+            word.pop()
+
+
+def is_primitive(word):
+    """True unless the word is a proper power u^k with k >= 2."""
+    p = len(word)
+    return not any(p % d == 0 and word[:d] * (p // d) == word
+                   for d in range(1, p // 2 + 1))
+
+
 def all_finite_graphs(n: int, no_zero_rows_only: bool = False):
     """Every n x n 0/1 matrix, in row-major lexicographic order."""
     row_choices = list(itertools.product((0, 1), repeat=n))

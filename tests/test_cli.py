@@ -809,10 +809,15 @@ def report_values(depth):
     if depth == 0:
         return leaves
     inner = report_values(depth - 1)
-    fields = leaves | st.lists(INTS, max_size=4) | inner
+    # int lists of mixed lengths, empty ones included, and with a bool in them
+    int_lists = st.lists(st.lists(INTS, max_size=4) | st.lists(INTS | st.booleans(), max_size=3),
+                         min_size=1, max_size=5)
+    fields = leaves | st.lists(INTS, max_size=4) | st.lists(st.booleans(), max_size=4) | inner
     return (leaves | st.lists(inner, max_size=4) | st.lists(INTS, max_size=6)
             | st.lists(TEXT, max_size=6) | st.dictionaries(TEXT, inner, max_size=4)
-            | record_lists(fields) | st.lists(inner, min_size=1, max_size=1)
+            | st.lists(st.booleans(), min_size=1, max_size=6) | int_lists
+            | record_lists(fields | st.lists(INTS, min_size=1, max_size=3))
+            | st.lists(inner, min_size=1, max_size=1)
             | st.lists(leaves | st.lists(INTS, max_size=2), min_size=2, max_size=5))
 
 
@@ -824,7 +829,8 @@ class TestJsonEmitter:
 
     @pytest.mark.parametrize("value", [1.5, {"a": (1, 2)}, {1: "a"}, [1, 2.0], {"a": {"b": 0.0}},
                                        [{"a": 1}, {"a": 1.5}], [{"a": [1]}, {"a": (1,)}],
-                                       [{"a": [1, 2.0]}, {"a": []}], [{1: "a"}, {1: "b"}]])
+                                       [{"a": [1, 2.0]}, {"a": []}], [{1: "a"}, {1: "b"}],
+                                       [[1], [2.0]], [[1], [(1,)]]])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             cli._json(value)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 import ckshift as ck
 from ckshift.errors import UnsupportedPresentationError, ValidationError
-from ckshift.graphs import (is_infinite, is_primitive, loop_has_outgoing_edge,
-                            primitive_closed_walks, walks)
+from ckshift.graphs import (is_infinite, loop_has_outgoing_edge, primitive_closed_walks,
+                            walk_levels, words_of_length)
 from ckshift.pathspace import full_point
 
-from conftest import all_finite_graphs
+from conftest import all_finite_graphs, is_primitive, walks
 
 
 def brute_condition_l(g, max_len):
@@ -319,12 +320,88 @@ class TestWalks:
                 assert is_primitive(list(w)) == (not power), w
 
     def test_primitive_closed_walks_against_brute(self):
+        # by length, then lexicographically
         for g in all_finite_graphs(3):
-            want = [w for w in sorted(w for n in range(1, 5)
-                                      for w in itertools.product(g.vertices(), repeat=n))
+            want = [w for n in range(1, 5) for w in itertools.product(g.vertices(), repeat=n)
                     if all(g.rows[a - 1][b - 1] for a, b in zip(w, w[1:] + w[:1]))
                     and not any(w[k:] + w[:k] == w for k in range(1, len(w)))]
             assert list(primitive_closed_walks(g, 4)) == want, g.rows
+
+    @staticmethod
+    def filtered_closed_walks(g, max_len):
+        """Every closed walk of the reference enumerator, each tested by
+        ``is_primitive``, in (length, lexicographic) order."""
+        found = [tuple(w) for w in walks(g.vertices(), lambda w: g.succ[w[-1] - 1], max_len)
+                 if g.rows[w[-1] - 1][w[0] - 1] and is_primitive(w)]
+        return sorted(found, key=lambda w: (len(w), w))
+
+    def test_power_count_against_is_primitive(self):
+        # the count of proper powers decides most lengths without a filter
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                assert list(primitive_closed_walks(g, 8)) == \
+                    self.filtered_closed_walks(g, 8), g.rows
+        rng = random.Random(41)
+        for n in (4, 4, 4, 5, 5, 5):
+            for density in (0.3, 0.5, 0.7):
+                g = ck.FiniteGraph(tuple(tuple(int(rng.random() < density) for _ in range(n))
+                                         for _ in range(n)))
+                assert list(primitive_closed_walks(g, 7)) == \
+                    self.filtered_closed_walks(g, 7), g.rows
+
+
+class TestLevels:
+    """``walk_levels`` and ``words_of_length`` against the reference ``walks``."""
+
+    @staticmethod
+    def reference(starts, extend, max_len):
+        by_length = [[] for _ in range(max_len)]
+        for w in walks(starts, lambda w: extend(w[-1]), max_len):
+            by_length[len(w) - 1].append(tuple(w))
+        return by_length
+
+    def check(self, starts, extend, max_len):
+        want = self.reference(starts, extend, max_len)
+        assert list(walk_levels(starts, extend, max_len)) == want
+        for length in range(1, max_len + 1):
+            assert words_of_length(starts, extend, length) == want[length - 1], length
+
+    def test_every_small_graph(self):
+        for size in (1, 2, 3):
+            for g in all_finite_graphs(size):
+                self.check(g.vertices(), lambda v: g.succ[v - 1], 6)
+
+    def test_lazy_windows_of_infinite_graphs(self):
+        block = ck.BlockPatternGraph((2, 1, None), ((0, 1, 1), (1, 0, 1), (0, 1, 1)))
+        banded = ck.BandedTailGraph(((0, 1), (1, 1)), 2, (1, 3), ((0, 1), (1, 1)))
+        for g in (block, banded):
+            window = range(1, 8)
+            asked = []
+
+            def extend(v):
+                asked.append(v)
+                return [j for j in window if g.edge(v, j)]
+
+            self.check(window, extend, 6)
+            for enumerate_words in (lambda: list(walk_levels(window, extend, 6)),
+                                    lambda: words_of_length(window, extend, 6)):
+                asked.clear()
+                enumerate_words()
+                assert sorted(asked) == sorted(set(asked))  # one row per letter
+
+    def test_empty_and_dead_ends(self):
+        assert list(walk_levels((1, 2), lambda v: (), 3)) == [[(1,), (2,)], [], []]
+        assert list(walk_levels((1,), lambda v: (1,), 0)) == []
+        for length in (-1, 0):
+            assert words_of_length((1,), lambda v: (1,), length) == []
+        assert words_of_length((), lambda v: (1,), 5) == []
+
+    def test_long_chain_is_linear(self):
+        length = 20000  # far past the interpreter's recursion limit
+        start = time.perf_counter()
+        (word,) = words_of_length((1,), lambda v: (1,), length)
+        assert time.perf_counter() - start < 1.0
+        assert word == (1,) * length
 
 
 class TestCompiledAdjacency:

@@ -7,12 +7,12 @@ import pytest
 import ckshift as ck
 from ckshift.errors import (DomainError, UnsupportedPresentationError,
                             ValidationError)
-from ckshift.graphs import finite_form, loop_has_outgoing_edge, primitive_closed_walks, walks
+from ckshift.graphs import finite_form, loop_has_outgoing_edge, primitive_closed_walks
 from ckshift.pathspace import (PeriodicPointRecord, PeriodicScan, SpectrumPoint, fiber,
                                full_point, strict_period_counts, truncated_point)
 from ckshift.sse import trace_powers
 
-from conftest import all_finite_graphs
+from conftest import all_finite_graphs, walks
 
 
 class TestClusterPatterns:
@@ -709,6 +709,22 @@ class TestEssentialFreeness:
                                 freeness_oracle(model, m0, n0, depth), (g.rows, m0, n0, depth)
                             scans += 1
         assert scans == 31800
+
+    def test_capped_table_on_random_graphs(self):
+        # deep scans, where the capped extension counts repeat and cycle
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            density = rng.choice((0.3, 0.5, 0.8))
+            g = ck.FiniteGraph(tuple(tuple(int(rng.random() < density) for _ in range(n))
+                                     for _ in range(n)))
+            model = ck.validate_model(g, [ck.full_pattern(g)])
+            for n0 in (1, 2, 3):
+                for m0 in range(n0):
+                    depth = rng.randint(n0, 40)
+                    got = ck.essential_freeness_scan(model, m0, n0, depth)
+                    assert (got.violation_found, got.witness) == \
+                        freeness_oracle(model, m0, n0, depth), (g.rows, m0, n0, depth)
 
     def test_full_shift_free(self, full2_model):
         res = ck.essential_freeness_scan(full2_model, 0, 1, 4)
