@@ -511,43 +511,56 @@ class ConditionLVerdict(Value):
         return self.holds
 
 
-def condition_l(g: GraphSpec) -> ConditionLVerdict:
-    """Every loop has at least one outgoing edge.
+def _loop_verdicts(g: GraphSpec) -> tuple[ConditionLVerdict, tuple[bool, Optional[tuple[int, int]]],
+                                            tuple[bool, Optional[int]]]:
+    """Condition (L), irreducibility and loop reachability, each with its
+    witness, read from one ``_closure``; ``classify`` needs all three, and
+    a predicate asked alone pays only a scan of the closure rows more.
 
     Call a class *forced* when it is a singleton with one successor class.
-    With ``reach`` from ``_closure``, class c lies on an exit-free loop iff
-    c is in reach[c] and reach[c] is all forced.  (=>) Each vertex of an
-    exit-free loop has out-degree 1, and an edge into a class is an edge
-    to each of its vertices, so the next vertex's class is a singleton and
-    the only successor class: every class on the loop is forced, the loop
-    is the one walk from c, and reach[c] is its classes.  (<=) The walk
-    along the one successor class from c stays in reach[c], so it visits
-    singletons only, each vertex with out-degree 1, and as c is in
-    reach[c] it returns to c: an exit-free loop.  Classes follow vertex
-    order, so the walk from the least such c, the witness, is the
-    lexicographically least exit-free loop.
+    Class c lies on an exit-free loop iff c is in reach[c] and reach[c] is
+    all forced.  (=>) Each vertex of an exit-free loop has out-degree 1,
+    and an edge into a class is an edge to each of its vertices, so the
+    next vertex's class is a singleton and the only successor class: every
+    class on the loop is forced, the loop is the one walk from c, and
+    reach[c] is its classes.  (<=) The walk along the one successor class
+    from c stays in reach[c], so it visits singletons only, each vertex
+    with out-degree 1, and as c is in reach[c] it returns to c: an
+    exit-free loop.  Classes follow vertex order, so the walk from the
+    least such c, the witness, is the lexicographically least exit-free
+    loop.
     """
     succ, first, sizes, reach = _closure(g)
     forced = sum(1 << (c - 1) for c, out in enumerate(succ, start=1)
                  if len(out) == 1 and sizes[c - 1] == 1)
+    cl = ConditionLVerdict(True, None)
     for c, row in enumerate(reach, start=1):
         if row >> (c - 1) & 1 and not row & ~forced:
             loop = [c, succ[c - 1][0]]
             while loop[-1] != c:
                 loop.append(succ[loop[-1] - 1][0])
-            return ConditionLVerdict(False, Loop(tuple(first[v - 1] for v in loop)))
-    return ConditionLVerdict(True, None)
+            cl = ConditionLVerdict(False, Loop(tuple(first[v - 1] for v in loop)))
+            break
+    full = (1 << len(reach)) - 1
+    irr = next(((False, (first[i], first[(~row & (row + 1)).bit_length() - 1]))
+                for i, row in enumerate(reach) if row != full), (True, None))
+    # a vertex on a cycle lies in its own row, so it meets on_cycle
+    on_cycle = sum(1 << i for i, row in enumerate(reach) if row >> i & 1)
+    rl = next(((False, first[i]) for i, row in enumerate(reach) if not row & on_cycle),
+              (True, None))
+    return cl, irr, rl
+
+
+def condition_l(g: GraphSpec) -> ConditionLVerdict:
+    """Every loop has at least one outgoing edge; otherwise the
+    lexicographically least exit-free loop (``_loop_verdicts``)."""
+    return _loop_verdicts(g)[0]
 
 
 def irreducible_with_witness(g: GraphSpec) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff every ordered vertex pair (i, j) is joined by a path of
     length >= 1; otherwise the lexicographically first unjoined pair."""
-    _, first, _, reach = _closure(g)
-    full = (1 << len(reach)) - 1
-    for i, row in enumerate(reach):
-        if row != full:
-            return False, (first[i], first[(~row & (row + 1)).bit_length() - 1])
-    return True, None
+    return _loop_verdicts(g)[1]
 
 
 def is_irreducible(g: GraphSpec) -> bool:
@@ -557,13 +570,7 @@ def is_irreducible(g: GraphSpec) -> bool:
 def reaches_loop_with_witness(g: GraphSpec) -> tuple[bool, Optional[int]]:
     """True iff every vertex has a path to a vertex lying on some loop;
     otherwise the minimal vertex that reaches none."""
-    _, first, _, reach = _closure(g)
-    # a vertex on a cycle lies in its own row, so it meets on_cycle
-    on_cycle = sum(1 << i for i, row in enumerate(reach) if row >> i & 1)
-    for i, row in enumerate(reach):
-        if not row & on_cycle:
-            return False, first[i]
-    return True, None
+    return _loop_verdicts(g)[2]
 
 
 def every_vertex_reaches_loop(g: GraphSpec) -> bool:
@@ -599,25 +606,14 @@ def classify(g: GraphSpec) -> ClassificationReport:
     zero row the shift hypotheses fail and both verdicts are not-applicable.
     """
     nzr = has_no_zero_rows(g)
-    cl = condition_l(g)
-    irr, irr_wit = irreducible_with_witness(g)
-    rl, rl_wit = reaches_loop_with_witness(g)
+    cl, (irr, irr_wit), (rl, rl_wit) = _loop_verdicts(g)
     if not nzr:
-        na = Verdict(NOT_APPLICABLE, reason="graph has a zero row")
-        return ClassificationReport(nzr, cl, irr, irr_wit, rl, rl_wit, na, na)
-
-    if cl.holds and irr:
-        simple = Verdict(CRITERIA_MET)
+        simple = pi = Verdict(NOT_APPLICABLE, reason="graph has a zero row")
     elif not cl.holds:
-        simple = Verdict(CRITERIA_FAILED, witness=cl.witness, reason="condition (L) fails")
+        simple = pi = Verdict(CRITERIA_FAILED, witness=cl.witness, reason="condition (L) fails")
     else:
-        simple = Verdict(CRITERIA_FAILED, witness=irr_wit, reason="not irreducible")
-
-    if cl.holds and rl:
-        pi = Verdict(CRITERIA_MET)
-    elif not cl.holds:
-        pi = Verdict(CRITERIA_FAILED, witness=cl.witness, reason="condition (L) fails")
-    else:
-        pi = Verdict(CRITERIA_FAILED, witness=rl_wit,
-                     reason="some vertex reaches no loop")
+        simple = (Verdict(CRITERIA_MET) if irr else
+                  Verdict(CRITERIA_FAILED, witness=irr_wit, reason="not irreducible"))
+        pi = (Verdict(CRITERIA_MET) if rl else
+              Verdict(CRITERIA_FAILED, witness=rl_wit, reason="some vertex reaches no loop"))
     return ClassificationReport(nzr, cl, irr, irr_wit, rl, rl_wit, simple, pi)

@@ -228,38 +228,15 @@ def smith_normal_form(m: Matrix) -> SmithForm:
     """Invariant factors d1 | d2 | ... (nonnegative, zeros trailing) with
     unimodular U, V satisfying U @ M @ V = diag(factors).  Pivoting takes
     the smallest nonzero absolute value; arbitrary precision throughout.
+
+    The elimination runs on one list of working rows: top row i is row i
+    of M then row i of U, and the ``cols`` rows beneath are V (U and V
+    start as I).  So a row operation on a top row carries U along, and a
+    column operation on the first ``cols`` columns of all rows carries V
+    along; at the end D and U are the top rows split at ``cols``.
     """
     rows, cols = shape(m)
-    a = [list(r) for r in m]
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):  # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    w = [[*r, *e] for r, e in zip(m, identity(rows))] + [list(e) for e in identity(cols)]
     size = min(rows, cols)
     for s in range(size):
         while True:
@@ -267,24 +244,29 @@ def smith_normal_form(m: Matrix) -> SmithForm:
             pivot = None
             for i in range(s, rows):
                 for j in range(s, cols):
-                    if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    if w[i][j] and (pivot is None or abs(w[i][j]) < abs(w[pivot[0]][pivot[1]])):
                         pivot = (i, j)
             if pivot is None:
                 break
-            swap_rows(s, pivot[0])
-            swap_cols(s, pivot[1])
-            if a[s][s] < 0:
-                negate_row(s)
+            i, j = pivot
+            w[s], w[i] = w[i], w[s]
+            for row in w:
+                row[s], row[j] = row[j], row[s]
+            if w[s][s] < 0:
+                w[s] = [-x for x in w[s]]
             dirty = False
             for i in range(s + 1, rows):
-                if a[i][s]:
-                    add_row(i, s, -(a[i][s] // a[s][s]))
-                    if a[i][s]:
+                if w[i][s]:
+                    q = w[i][s] // w[s][s]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[s])]
+                    if w[i][s]:
                         dirty = True
             for j in range(s + 1, cols):
-                if a[s][j]:
-                    add_col(j, s, -(a[s][j] // a[s][s]))
-                    if a[s][j]:
+                if w[s][j]:
+                    q = w[s][j] // w[s][s]
+                    for row in w:
+                        row[j] -= q * row[s]
+                    if w[s][j]:
                         dirty = True
             if dirty:
                 continue
@@ -292,18 +274,18 @@ def smith_normal_form(m: Matrix) -> SmithForm:
             offender = None
             for i in range(s + 1, rows):
                 for j in range(s + 1, cols):
-                    if a[i][j] % a[s][s]:
+                    if w[i][j] % w[s][s]:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            add_row(s, offender, 1)
+            w[s] = [x + y for x, y in zip(w[s], w[offender])]
 
-    factors = tuple(a[i][i] for i in range(size))
-    res = SmithForm(factors, tuple(map(tuple, u)), tuple(map(tuple, v)),
-                    tuple(map(tuple, a)))
+    factors = tuple(w[i][i] for i in range(size))
+    res = SmithForm(factors, tuple(tuple(r[cols:]) for r in w[:rows]),
+                    tuple(map(tuple, w[rows:])), tuple(tuple(r[:cols]) for r in w[:rows]))
     if mat_mul(mat_mul(res.U, m), res.V) != res.D:
         raise AssertionError("Smith form: U @ M @ V differs from D")
     if abs(det(res.U)) != 1 or abs(det(res.V)) != 1:

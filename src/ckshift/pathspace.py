@@ -301,7 +301,8 @@ def project_point(p: SpectrumPoint, from_level: int) -> SpectrumPoint:
     """The projection from level ``from_level`` to ``from_level - 1``:
     full words drop their last letter, maximal-length truncated words drop
     their boundary cap, everything else is fixed."""
-    if from_level < 1:
+    if type(from_level) is not int or from_level < 1:  # hot: the helper only words the error
+        _require_ints(from_level=from_level)
         raise ValidationError("projection needs a source level >= 1")
     if not point_valid_at(p, from_level):
         raise ValidationError(f"point {p.render()} is not a level-{from_level} point")
@@ -316,7 +317,8 @@ def fiber(model: MarkovModel, p: SpectrumPoint, at_level: int) -> tuple[Spectrum
     """All level-(at_level+1) points projecting onto ``p``, in ``sort_key``
     order: successors ascend in every presentation, and caps follow
     ``boundary_sorted()``."""
-    if not point_valid_at(p, at_level):
+    if type(at_level) is not int or not point_valid_at(p, at_level):  # as in project_point
+        _require_ints(at_level=at_level)
         raise ValidationError(f"point {p.render()} is not a level-{at_level} point")
     if not p.is_full:
         return (p,)

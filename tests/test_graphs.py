@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 
 import ckshift as ck
 from ckshift.errors import UnsupportedPresentationError, ValidationError
+from ckshift.formats import parse_graph
 from ckshift.graphs import (is_infinite, loop_has_outgoing_edge, primitive_closed_walks,
                             walk_levels, words_of_length)
 from ckshift.pathspace import full_point
 
 from conftest import all_finite_graphs, is_primitive, walks
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_condition_l(g, max_len):
@@ -534,6 +538,27 @@ class TestClassify:
                     a.simple.status, a.purely_infinite.status) == \
                    (b.condition_l.holds, b.irreducible, b.every_vertex_reaches_loop,
                     b.simple.status, b.purely_infinite.status)
+
+    def test_one_closure_per_call(self, monkeypatch, two_cycle, all_ones_infinite):
+        # condition (L), irreducibility and loop reachability share one closure
+        calls = []
+        closure = ck.graphs._closure
+        monkeypatch.setattr(ck.graphs, "_closure", lambda g: calls.append(g) or closure(g))
+        far = parse_graph((DATA / "banded_far.json").read_text())
+        for g in (two_cycle, all_ones_infinite, far):
+            calls.clear()
+            ck.classify(g)
+            assert calls == [g]
+
+    def test_agrees_with_the_predicates(self):
+        for n in (1, 2, 3):
+            for g in all_finite_graphs(n):
+                rep = ck.classify(g)
+                assert rep.condition_l == ck.condition_l(g)
+                assert (rep.irreducible, rep.irreducible_witness) == \
+                    ck.graphs.irreducible_with_witness(g)
+                assert (rep.every_vertex_reaches_loop, rep.loop_witness) == \
+                    ck.graphs.reaches_loop_with_witness(g)
 
 
 class TestValidation:

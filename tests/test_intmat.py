@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import ckshift as ck
 import ckshift.intmat as im
 from ckshift.errors import ValidationError
+from ckshift.intmat import Matrix, SmithForm, det, identity, mat_mul, shape
 
 
 @pytest.mark.parametrize("call, name", [
@@ -40,6 +42,100 @@ def charpoly_oracle(a):
         assert ck % k == 0
         coeffs.append(ck // k)
     return tuple(coeffs)
+
+
+def smith_normal_form_oracle(m: Matrix) -> SmithForm:
+    """The Smith form as written with separate M, U and V arrays, each
+    elementary operation applied to M and again to U or V: the reference
+    the one-array elimination must match exactly.
+
+    Invariant factors d1 | d2 | ... (nonnegative, zeros trailing) with
+    unimodular U, V satisfying U @ M @ V = diag(factors).  Pivoting takes
+    the smallest nonzero absolute value; arbitrary precision throughout.
+    """
+    rows, cols = shape(m)
+    a = [list(r) for r in m]
+    u = [list(r) for r in identity(rows)]
+    v = [list(r) for r in identity(cols)]
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):  # row_dst += q * row_src
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    size = min(rows, cols)
+    for s in range(size):
+        while True:
+            # smallest-|nonzero| pivot in the trailing block
+            pivot = None
+            for i in range(s, rows):
+                for j in range(s, cols):
+                    if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            swap_rows(s, pivot[0])
+            swap_cols(s, pivot[1])
+            if a[s][s] < 0:
+                negate_row(s)
+            dirty = False
+            for i in range(s + 1, rows):
+                if a[i][s]:
+                    add_row(i, s, -(a[i][s] // a[s][s]))
+                    if a[i][s]:
+                        dirty = True
+            for j in range(s + 1, cols):
+                if a[s][j]:
+                    add_col(j, s, -(a[s][j] // a[s][s]))
+                    if a[s][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # divisibility: fold any non-multiple into the pivot's row
+            offender = None
+            for i in range(s + 1, rows):
+                for j in range(s + 1, cols):
+                    if a[i][j] % a[s][s]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(s, offender, 1)
+
+    factors = tuple(a[i][i] for i in range(size))
+    res = SmithForm(factors, tuple(map(tuple, u)), tuple(map(tuple, v)),
+                    tuple(map(tuple, a)))
+    if mat_mul(mat_mul(res.U, m), res.V) != res.D:
+        raise AssertionError("Smith form: U @ M @ V differs from D")
+    if abs(det(res.U)) != 1 or abs(det(res.V)) != 1:
+        raise AssertionError("Smith form: U or V is not unimodular")
+    for x, y in zip(factors, factors[1:]):
+        if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
+            raise AssertionError(f"Smith form: factor {x} does not divide {y}")
+    return res
 
 
 class TestBasics:
@@ -184,6 +280,44 @@ class TestSmith:
                 assert y == 0
             else:
                 assert y % x == 0
+
+    def test_every_small_2x2_against_oracle(self):
+        for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
+            m = ((a, b), (c, d))
+            assert im.smith_normal_form(m) == smith_normal_form_oracle(m), m
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_shapes_against_oracle(self, r, c, data):
+        m = tuple(tuple(data.draw(st.integers(-20, 20)) for _ in range(c))
+                  for _ in range(r))
+        assert im.smith_normal_form(m) == smith_normal_form_oracle(m)
+
+    def test_bowen_franks_matrices_against_oracle(self):
+        rng = random.Random(24)
+        for n in range(8, 25):
+            for density in (0.2, 0.5):
+                a = tuple(tuple(int(rng.random() < density) for _ in range(n)) for _ in range(n))
+                m = im.mat_sub(im.identity(n), a)
+                assert im.smith_normal_form(m) == smith_normal_form_oracle(m), a
+
+    def test_wide_entries_against_oracle(self):
+        # sparse, or unit upper triangular: a dense 16x16 with 101-bit
+        # entries grows transforms of ~170,000 bits and takes seconds
+        rng = random.Random(101)
+
+        def big():
+            return rng.choice((-1, 1)) * rng.randrange(2 ** 100, 2 ** 101)
+        sparse = [tuple(tuple(big() if rng.random() < 1 / 8 else int(i == j) for j in range(16))
+                        for i in range(16)) for _ in range(3)]
+        upper = tuple(tuple(big() if j > i else int(i == j) for j in range(16)) for i in range(16))
+        for m in sparse + [upper]:
+            assert im.smith_normal_form(m) == smith_normal_form_oracle(m)
+
+    def test_self_checks_stay(self, monkeypatch):
+        monkeypatch.setattr(im, "det", lambda a: 2)
+        with pytest.raises(AssertionError, match="not unimodular"):
+            im.smith_normal_form(((2, 1), (1, 1)))
 
     def test_entry_growth_case(self):
         # dense 4x4 with mixed signs exercises the arbitrary-precision path

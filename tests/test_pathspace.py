@@ -250,6 +250,11 @@ class TestSpectrum:
     lambda m: ck.evaluate(ck.generator(m, 1), 2.0),
     lambda m: ck.raise_level(ck.full_space(m), 1.5),
     lambda m: ck.make_clopen(m, True, []),
+    lambda m: fiber(m, full_point((1, 2)), True),
+    lambda m: fiber(m, full_point((1, 2)), 1.0),
+    lambda m: fiber(m, full_point((1,)), False),
+    lambda m: ck.project_point(full_point((1, 2)), 1.0),
+    lambda m: ck.project_point(full_point((1, 2)), True),
 ])
 def test_integer_arguments_reject_bools_and_non_ints(call, golden_model):
     # the message names the argument
