@@ -72,8 +72,8 @@ def _json(value, newline: str = "\n") -> str:
 
 def _items(values: list, newline: str):
     """The JSON texts of a nonempty list's items, to follow ``newline``: one
-    ``map`` if all are str, all int (not bool) or all bool, one ``%d`` format
-    per length if all are nonempty lists of ints (not bools), ``_records`` for
+    ``map`` if all are str or all int (not bool), one ``%d`` format per
+    length if all are nonempty lists of ints (not bools), ``_records`` for
     two or more dicts with one key set, else ``_json`` on each (a float or
     tuple raises)."""
     kind = type(values[0])
@@ -85,8 +85,6 @@ def _items(values: list, newline: str):
             return map(encode_basestring_ascii, values)
         if kind is int:
             return map(int.__repr__, values)
-        if kind is bool:
-            return map(("false", "true").__getitem__, values)
         if kind is list and all(values) and set(map(type, chain.from_iterable(values))) == {int}:
             inner = newline + "  "
             text = {k: "[" + inner + ("," + inner).join(["%d"] * k) + newline + "]"

@@ -29,7 +29,7 @@ import bisect
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import UnsupportedPresentationError, ValidationError, short_repr
+from .errors import UnsupportedPresentationError, ValidationError, _require_ints, short_repr
 from .value import Value
 
 
@@ -92,10 +92,6 @@ class FiniteGraph(Value):
         self._check(i)
         return self.succ[i - 1]
 
-    def out_degree(self, i: int) -> int:
-        self._check(i)
-        return len(self.succ[i - 1])
-
 
 class BlockPatternGraph(Value):
     """Vertices partitioned into contiguous classes; adjacency depends only
@@ -156,11 +152,6 @@ class BlockPatternGraph(Value):
 
     def edge(self, i: int, j: int) -> bool:
         return self.block[self.class_of(i) - 1][self.class_of(j) - 1] == 1
-
-    def out_degree(self, i: int) -> Optional[int]:
-        """Out-degree of a vertex, or None when infinite."""
-        cards = [self.class_sizes[c - 1] for c in self.class_graph.succ[self.class_of(i) - 1]]
-        return None if None in cards else sum(cards)
 
     def successors(self, i: int) -> tuple[int, ...]:
         out: list[int] = []
@@ -247,9 +238,6 @@ class BandedTailGraph(Value):
             return self.succ[i - 1]
         return tuple(i + o for o in self.offsets)
 
-    def out_degree(self, i: int) -> int:
-        return len(self.successors(i))
-
     def truncate(self, window: int) -> FiniteGraph:
         """Restriction to vertices 1..window as an explicit matrix."""
         if type(window) is not int or window < max(self.cutoff, 1):
@@ -321,10 +309,13 @@ class LoopRecord(Value):
 
 
 def loop_has_outgoing_edge(g: GraphSpec, loop: Loop) -> bool:
-    """An outgoing edge is an edge (i_k, j) with j != i_{k+1} (cyclically)."""
+    """An outgoing edge is an edge (i_k, j) with j != i_{k+1} (cyclically);
+    a vertex with infinitely many successors has one."""
     word = loop.vertices
-    return any(g.out_degree(a) != 1 or g.successors(a) != (b,)
-               for a, b in zip(word, word[1:]))
+    try:
+        return any(g.successors(a) != (b,) for a, b in zip(word, word[1:]))
+    except UnsupportedPresentationError:
+        return True
 
 
 def _canonical_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -398,6 +389,7 @@ def enumerate_loops(g: GraphSpec, max_len: int) -> list[LoopRecord]:
     fin = finite_form(g)
     if fin is None:
         raise UnsupportedPresentationError("loop enumeration needs a finite graph")
+    _require_ints(max_len=max_len)
     if max_len < 0:
         raise ValidationError("max_len must be nonnegative")
     found = {_canonical_rotation(base) for base in primitive_closed_walks(fin, max_len)}

@@ -64,6 +64,7 @@ def is_nonneg(m: Matrix) -> bool:
 
 
 def identity(n: int) -> Matrix:
+    _require_ints(n=n)
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 

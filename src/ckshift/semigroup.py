@@ -93,27 +93,23 @@ def compose(a: Monomial, b: Monomial, normalized: bool = True) -> Monomial:
     must be prefix-comparable; otherwise the product is zero.  Its h
     already lies in the follower sets: if b.alpha = a.beta + u, a point x
     of ``strip_word(u, a.h)`` has u.x valid, so x is in V(u[-1]) (x is in
-    a.h if u is empty), and h is in b.h; the other case is symmetric."""
+    a.h if u is empty), and h is in b.h.  If instead a.beta = b.alpha + u,
+    then ab = (b*a*)* and b*a* is the first case; ``adjoint`` commutes with
+    ``normalize``, so the adjoint of b*a*'s normal form is ab's."""
     if a.model != b.model:
         raise ValidationError("monomials belong to different models")
     if a.is_zero or b.is_zero:
         return zero(a.model)
     x, y = a.beta, b.alpha
-    if y[:len(x)] == x:
-        u = y[len(x):]
-        alpha = a.alpha + u
-        beta = b.beta
-        h = b.h.meet(strip_word(u, a.h))
-    elif x[:len(y)] == y:
-        v = x[len(y):]
-        alpha = a.alpha
-        beta = b.beta + v
-        h = a.h.meet(strip_word(v, b.h))
-    else:
-        return zero(a.model)
+    if y[:len(x)] != x:
+        if x[:len(y)] != y:
+            return zero(a.model)
+        return adjoint(compose(adjoint(b), adjoint(a), normalized))
+    u = y[len(x):]
+    h = b.h.meet(strip_word(u, a.h))
     if h.is_empty:
         return zero(a.model)
-    out = Monomial(a.model, alpha, h, beta)
+    out = Monomial(a.model, a.alpha + u, h, b.beta)
     return normalize(out) if normalized else out
 
 

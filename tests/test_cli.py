@@ -548,6 +548,22 @@ class TestContract:
             # a self-loop prefix vertex and a tail that climbs by 2000
             (("classify", "--input", str(DATA / "banded_far.json"),
               "--format", "json"), "banded_far_classify_expected.json"),
+            # classify's verdicts are sufficient criteria: simple fails on a graph
+            # whose O_A is simple, and purely_infinite is met where (K) fails
+            (("classify", "--input", str(DATA / "simple_not_irreducible.json"),
+              "--format", "json"), "simple_not_irreducible_classify_expected.json"),
+            (("classify", "--input", str(DATA / "purely_infinite_without_k.json"),
+              "--format", "json"), "purely_infinite_without_k_classify_expected.json"),
+            (("rn", "--input", str(DATA / "golden_mean.json"), "--max-period", "2",
+              "--depth", "3", "--format", "json"), "golden_mean_rn_expected.json"),
+            (("invariants", "--input", str(DATA / "mat3.json"), "--format", "json"),
+             "mat3_invariants_expected.json"),
+            (("sse-verify", "--input", str(DATA / "cert_elementary.json"), "--format", "json"),
+             "cert_elementary_sse_verify_expected.json"),
+            (("sse-search", "--input", str(DATA / "search_pair.json"), "--inner-dim", "2",
+              "--entry-bound", "1", "--format", "json"), "search_pair_sse_search_expected.json"),
+            (("conjugacy", "--input", str(DATA / "cert_elementary.json"), "--format", "json"),
+             "cert_elementary_conjugacy_expected.json"),
         ):
             _, out, _ = run(capsys, *argv)
             assert out == (DATA / golden).read_text()

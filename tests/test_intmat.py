@@ -18,6 +18,8 @@ from ckshift.intmat import Matrix, SmithForm, det, identity, mat_mul, shape
     (lambda a: im.mat_pow(a, 2.0), "k"),
     (lambda a: im.power_sums(a, True), "m"),
     (lambda a: im.power_sums(a, 2.5), "m"),
+    (lambda a: im.identity(2.0), "n"),
+    (lambda a: im.identity(True), "n"),
 ])
 def test_integer_arguments_reject_bools_and_non_ints(call, name):
     with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):

@@ -247,6 +247,8 @@ class TestSpectrum:
     lambda m: ck.tail_partition(m, 1.5, 3),
     lambda m: ck.strict_period_counts(m.graph, 2.0),
     lambda m: ck.strict_period_counts(m.graph, True),
+    lambda m: ck.enumerate_loops(m.graph, 2.0),
+    lambda m: ck.enumerate_loops(m.graph, True),
     lambda m: ck.evaluate(ck.generator(m, 1), 2.0),
     lambda m: ck.raise_level(ck.full_space(m), 1.5),
     lambda m: ck.make_clopen(m, True, []),

@@ -264,6 +264,17 @@ class TestSemigroupLaws:
                 assert ck.compose(ck.compose(x, xs), x) == x
                 assert ck.compose(ck.compose(xs, x), xs) == xs
 
+    def test_adjoint_reverses_products(self, toeplitz_model, golden_model, full2_model):
+        # (ab)* = b*a*, which compose uses for the case a.beta = b.alpha + u
+        for model in self._models(toeplitz_model, golden_model, full2_model):
+            gens = [ck.generator(model, v) for v in ck.finite_form(model.graph).vertices()]
+            letters = gens + [ck.adjoint(s) for s in gens]
+            pool = letters + [ck.compose(a, b) for a in letters for b in letters]
+            for a, b in itertools.product(pool, repeat=2):
+                for normalized in (True, False):
+                    assert ck.adjoint(ck.compose(a, b, normalized=normalized)) == \
+                        ck.compose(ck.adjoint(b), ck.adjoint(a), normalized=normalized)
+
     def test_idempotents_commute(self, toeplitz_model):
         rng = random.Random(29)
         for _ in range(40):
